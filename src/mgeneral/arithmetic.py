@@ -10,14 +10,25 @@ counting bound.
 Coefficient vectors whose support has size <= 2 never have solutions in
 distinct points (a single nonzero entry cannot sum to zero; two nonzero
 entries force equality of two distinct points), so only supports of size
->= 3 are ever enumerated.
+>= 3 matter.
+
+`is_m_general_arithmetic`, `is_weak_bk` and `verify_ksum_injectivity` are
+one loop: hash weighted subset sums and stop at the first repeat.  The
+oracle splits each relation in half (the k-sum injectivity lemma), so it
+costs Theta(N^ceil(m/2) (q-1)^ceil(m/2)) hash operations on N points
+rather than the Theta(N^m) of enumerating every subset; that enumerative
+form is kept as the small-N reference `m_general_by_forms` in
+`tests/oracles.py`.  For q = 2, m = 4 the oracle is a pair-XOR collision
+scan, as is the geometric fast path in `affine`, in separate code; the
+rank-based cross-check for that case is `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, permutations, product
-from typing import Iterator, Sequence
+from itertools import chain, combinations, combinations_with_replacement, permutations, product, repeat
+from operator import add, xor
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .affine import PointSet
 from .field import Field
@@ -181,36 +192,107 @@ def weakly_avoids(A: PointSet, c: CoeffVector) -> bool:
     return not _support_hits(c.field, support, A)
 
 
+def _weighted_sums(A: PointSet) -> Callable[[Sequence[tuple]], Iterator]:
+    """The weighted-sum enumerator over A that every collision test shares.
+
+    Each point x is lifted to (1, x) in F_q^(n+1), so a weighted sum
+    sum_t c_t (1, x_t) carries gamma = sum_t c_t as its first coordinate and
+    a repeat between two distinct (coefficients, subset) pairs is a zero-sum
+    relation on their union.  Sums are hashable codes: in characteristic 2
+    the XOR of `PointSet.encode` codes (each coordinate takes d bits), for
+    odd p the tuple of F_p digits, added digitwise.
+
+    The returned sums(vectors) yields sum_t c_t (1, x_{i_t}) for every c in
+    vectors, all of one length j, and every j-subset x_{i_1} < ... < x_{i_j}
+    of A.
+    """
+    field = A.field
+    if field.p == 2:
+        plus, zero, code = xor, 0, A.encode
+    else:
+        reduced = [x % field.p for x in range(2 * field.p - 1)]
+        digits = [field.coeff_vector(x) for x in field.elements()]
+        zero = (0,) * (A.n + 1) * field.d
+
+        def plus(u: tuple, v: tuple) -> tuple:
+            return tuple(map(reduced.__getitem__, map(add, u, v)))
+
+        def code(pt: Sequence[int]) -> tuple:
+            return tuple(dig for x in pt for dig in digits[x])
+
+    rows: dict[int, list] = {}
+
+    def row(c: int) -> list:
+        if c not in rows:
+            scaled = A.points if c == 1 else [tuple(field.mul(c, x) for x in pt) for pt in A.points]
+            rows[c] = [code((c,) + pt) for pt in scaled]
+        return rows[c]
+
+    def extend(acc, rs: list[list], start: int) -> Iterator:
+        # acc plus every sum rs[0][i_1] + ... + rs[-1][i_r], start <= i_1 < ... < i_r
+        if len(rs) == 1:
+            return map(plus, repeat(acc), rs[0][start:])
+        stop = len(rs[0]) - len(rs) + 1
+        return chain.from_iterable(
+            extend(plus(acc, rs[0][i]), rs[1:], i + 1) for i in range(start, stop)
+        )
+
+    def sums(vectors: Sequence[tuple]) -> Iterator:
+        return chain.from_iterable(extend(zero, [row(c) for c in cs], 0) for cs in vectors)
+
+    return sums
+
+
+def _collides(keys: Iterable, probes: Iterable = ()) -> bool:
+    """Hash keys until one repeats, then look each probe up without
+    inserting it; True at the first repeat or hit."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            return True
+        seen.add(key)
+    return any(key in seen for key in probes)
+
+
+def _vectors(field: Field, j: int, gammas: Sequence[int]) -> list[tuple]:
+    return [c.coeffs for g in gammas for c in nonzero_sum_vectors(field, j, g)]
+
+
 def is_m_general_arithmetic(A: PointSet, m: int) -> bool:
-    """The m-general test via weak avoidance of every zero-sum form of length m.
+    """The m-general test: no zero-sum relation on <= m distinct points.
 
     Requires |A| >= m.  The equivalence with the geometric predicate is
     established for 3 <= m <= n; callers may use the full geometric range
     3 <= m <= n+2, where the two oracles are still required to agree.
 
-    A length-m vector restricted to its support (size t, 3 <= t <= m) gives
-    the same avoidance condition, and padding back up needs only m - t spare
-    distinct points, guaranteed by |A| >= m; so supports are enumerated as
-    all-nonzero zero-sum multisets of each length t.
+    Meet in the middle (the k-sum injectivity lemma), k = floor(m/2): hash
+    sum c_i (1, s_i) for every j-subset S, j <= k, and every all-nonzero c
+    with gamma = sum c in {0, 1}; for odd m, probe with the (k+1)-subsets
+    and gamma = 1 without inserting them.  A repeat is a nontrivial
+    zero-sum relation on at most m distinct points.  Conversely a relation
+    of support t <= m splits into halves of sizes floor(t/2) and ceil(t/2)
+    whose sums agree, and scaling both by 1/gamma (gamma != 0) moves them
+    into the hashed family.  When t = m is odd some split has gamma != 0:
+    were every k-subset of coefficients to sum to 0, all coefficients would
+    equal one c with k c = (2k+1) c = 0, so c = 0.  Cost:
+    Theta(N^ceil(m/2) (q-1)^ceil(m/2)) hash operations.
     """
     if not 3 <= m <= A.n + 2:
         raise ValueError(f"m out of range: need 3 <= m <= n+2, got m={m}, n={A.n}")
     if len(A) < m:
         raise ValueError(f"arithmetic test needs |A| >= m, got |A|={len(A)}, m={m}")
-    field = A.field
-    nonzero = range(1, field.q)
-    for t in range(3, m + 1):
-        if t > len(A):
-            break
-        for ms in combinations_with_replacement(nonzero, t):
-            total = 0
-            for c in ms:
-                total = field.add(total, c)
-            if total != 0:
-                continue
-            if _support_hits(field, ms, A):
-                return False
-    return True
+    field, k = A.field, m // 2
+    sums = _weighted_sums(A)
+    keys = chain.from_iterable(sums(_vectors(field, j, (0, 1))) for j in range(1, k + 1))
+    probes = sums(_vectors(field, k + 1, (1,))) if m % 2 else ()
+    return not _collides(keys, probes)
+
+
+def is_weak_bk(A: PointSet, k: int) -> bool:
+    """True iff all k-subsets of A (distinct elements) have distinct sums."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    return not _collides(_weighted_sums(A)([(1,) * k]))
 
 
 def _subset_sum(field: Field, pts: Sequence[tuple], n: int) -> tuple:
@@ -219,32 +301,6 @@ def _subset_sum(field: Field, pts: Sequence[tuple], n: int) -> tuple:
         for i in range(n):
             out[i] = field.add(out[i], p[i])
     return tuple(out)
-
-
-def is_weak_bk(A: PointSet, k: int) -> bool:
-    """True iff all k-subsets of A (distinct elements) have distinct sums."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    field = A.field
-    if field.q == 2:
-        # sums become XORs of integer encodings
-        codes = [A.encode(p) for p in A.points]
-        seen_codes = set()
-        for subset in combinations(codes, k):
-            s = 0
-            for c in subset:
-                s ^= c
-            if s in seen_codes:
-                return False
-            seen_codes.add(s)
-        return True
-    seen: dict[tuple, tuple] = {}
-    for subset in combinations(A.points, k):
-        s = _subset_sum(field, subset, A.n)
-        if s in seen:
-            return False
-        seen[s] = subset
-    return True
 
 
 def is_bk(A: PointSet, k: int) -> bool:
@@ -284,13 +340,4 @@ def verify_ksum_injectivity(A: PointSet, k: int, gamma: int) -> bool:
     field = A.field
     if field.q > 2 and gamma == 0:
         raise ValueError("gamma must be nonzero for q > 2")
-    coeff_list = [c.coeffs for c in nonzero_sum_vectors(field, k, gamma)]
-    seen: dict[tuple, tuple] = {}
-    for subset in combinations(A.points, k):
-        for cs in coeff_list:
-            img = _combo(field, cs, subset)
-            key = (cs, subset)
-            if img in seen and seen[img] != key:
-                return False
-            seen[img] = key
-    return True
+    return not _collides(_weighted_sums(A)(_vectors(field, k, (gamma,))))

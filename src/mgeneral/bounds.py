@@ -129,8 +129,13 @@ def minimize_h(q: int, m: int, tol: float = 1e-12, max_iter: int = 200):
     return t_star, h_eval(q, m, t_star), it
 
 
+def _bennett_applies(q: int, m: int) -> bool:
+    """Bennett's parity hypothesis: q odd, or m and q both even."""
+    return q % 2 == 1 or m % 2 == 0
+
+
 def _check_bennett_pre(q: int, m: int, n: int | None = None) -> None:
-    if not (q % 2 == 1 or (m % 2 == 0 and q % 2 == 0)):
+    if not _bennett_applies(q, m):
         raise ValueError(
             f"parity hypothesis violated: need q odd, or m and q both even (q={q}, m={m})"
         )
@@ -181,7 +186,7 @@ class BoundReport:
     """Evaluated bounds at one (n, q, m); None marks inapplicable fields.
 
     main/refined/mu_main need m >= 4; the bennett fields need the parity
-    hypothesis (q odd, or m and q both even).
+    hypothesis (q odd, or m and q both even) and n >= m - 2.
     """
 
     n: int
@@ -204,7 +209,7 @@ def bound_report(n: int, q: int, m: int) -> BoundReport:
         refined = refined_bound(n, q, m)
         mu_main = mu_upper_main(m)
     bennett = t_star = mu_bennett = None
-    if q % 2 == 1 or (m % 2 == 0 and q % 2 == 0):
+    if _bennett_applies(q, m) and n >= m - 2:
         bennett, t_star = bennett_bound(n, q, m)
         mu_bennett = mu_upper_bennett(q, m)
     return BoundReport(n, q, m, k, main, refined, bennett, t_star, mu_main, mu_bennett)
@@ -244,7 +249,7 @@ def table1_grid() -> dict[tuple[int, int], float]:
     grid = {}
     for m in TABLE1_M_ROWS:
         for q in TABLE1_Q_COLUMNS:
-            if q % 2 == 1 or (m % 2 == 0 and q % 2 == 0):
+            if _bennett_applies(q, m):
                 grid[(m, q)] = round_half_up(mu_upper_bennett(q, m))
     return grid
 

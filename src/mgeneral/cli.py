@@ -123,9 +123,16 @@ def cmd_bounds(args) -> int:
             print(f"  refined bound  : {r.refined:.6g}  (exact coefficient count; "
                   "tighter than the provable constant)")
             print(f"  mu upper       : {r.mu_main:.6g}")
+        else:
+            print("  counting bound : NA")
+            print("  refined bound  : NA")
+            print("  mu upper       : NA")
         if r.bennett is not None:
             print(f"  bennett bound  : {r.bennett:.6g}  (t* = {r.t_star:.6g})")
             print(f"  mu bennett     : {r.mu_bennett:.6g}")
+        else:
+            print("  bennett bound  : NA")
+            print("  mu bennett     : NA")
     return EXIT_OK
 
 

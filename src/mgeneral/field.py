@@ -252,7 +252,17 @@ class Field:
         return acc
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.d == 1:
+            return (a - b) % self.p
+        if self.p == 2:
+            return a ^ b
+        p, acc, mul, x, y = self.p, 0, 1, a, b
+        for _ in range(self.d):
+            acc += ((x - y) % p) * mul
+            x //= p
+            y //= p
+            mul *= p
+        return acc
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

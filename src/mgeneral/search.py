@@ -380,6 +380,8 @@ def search_exact(
 
 def search_greedy(n: int, q, m: int, seed: int = 0, restarts: int = 1) -> SearchCertificate:
     """Randomized greedy with restarts; deterministic for a given (seed, restarts)."""
+    if restarts < 1:
+        raise ValueError(f"need restarts >= 1, got {restarts}")
     field = _as_field(q)
     _check_m_range(m, n)
     decoded = _decode_all(field, n)

@@ -9,7 +9,7 @@ with no symmetry reduction.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 
 def naive_mul(field, a: int, b: int) -> int:
@@ -101,6 +101,32 @@ def m_general_oracle(field, pts, m: int) -> bool:
     for sub in combinations(pts, s):
         if rank_oracle(field, sub) != s - 1:
             return False
+    return True
+
+
+def m_general_by_forms(field, pts, m: int) -> bool:
+    """The arithmetic characterization by enumeration: no all-nonzero
+    zero-sum coefficient multiset of size 3 <= t <= m vanishes on t distinct
+    points, over every t-subset and every distinct arrangement of the
+    coefficients.  Theta(N^m); the small-N reference for the package's
+    meet-in-the-middle `is_m_general_arithmetic`."""
+    n = len(pts[0])
+    for t in range(3, min(m, len(pts)) + 1):
+        for ms in combinations_with_replacement(range(1, field.q), t):
+            total = 0
+            for c in ms:
+                total = field.add(total, c)
+            if total != 0:
+                continue
+            arrangements = sorted(set(permutations(ms)))
+            for subset in combinations(pts, t):
+                for cs in arrangements:
+                    out = [0] * n
+                    for c, pt in zip(cs, subset):
+                        for i in range(n):
+                            out[i] = field.add(out[i], field.mul(c, pt[i]))
+                    if not any(out):
+                        return False
     return True
 
 

@@ -17,6 +17,7 @@ from mgeneral.arithmetic import (
     weakly_avoids,
 )
 from mgeneral.field import make_field
+from oracles import m_general_by_forms, m_general_oracle
 
 
 def test_coeff_vector_validation(f3, f5):
@@ -208,3 +209,92 @@ def test_oracle_equivalence_random(f4, f5):
             pts = rng.sample(space, size)
             A = PointSet.of(field, n, pts)
             assert is_m_general(A, m) == is_m_general_arithmetic(A, m)
+
+
+CROSS_CHECK_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+def _grow(field, n, m, size, rng):
+    """A random m-general set of up to `size` points, grown greedily."""
+    space = list(product(range(field.q), repeat=n))
+    rng.shuffle(space)
+    pts = []
+    for cand in space:
+        if len(pts) == size:
+            break
+        if is_m_general(PointSet.of(field, n, pts + [cand]), m):
+            pts.append(cand)
+    return pts
+
+
+def test_meet_in_the_middle_matches_references():
+    rng = random.Random(2002)
+    checked = {True: 0, False: 0}
+    for p, d in CROSS_CHECK_FIELDS:
+        field = make_field(p, d)
+        for n in (2, 3, 4) if field.q <= 4 else (2, 3):
+            space = list(product(range(field.q), repeat=n))
+            for m in range(3, n + 3):
+                for trial in range(10):
+                    size = m + trial % 3  # |A| = m included
+                    if trial < 4:
+                        pts = rng.sample(space, min(size, len(space)))
+                    else:
+                        pts = _grow(field, n, m, size, rng)
+                        if len(pts) < m:
+                            pts += rng.sample([x for x in space if x not in pts], m - len(pts))
+                    A = PointSet.of(field, n, pts)
+                    got = is_m_general_arithmetic(A, m)
+                    assert got == m_general_by_forms(field, A.points, m), (field.q, n, m, pts)
+                    assert got == m_general_oracle(field, A.points, m), (field.q, n, m, pts)
+                    checked[got] += 1
+    assert sum(checked.values()) >= 400
+    assert min(checked.values()) >= 100, checked
+
+
+def _only_dependency(field, n, m, base, rng, support):
+    """base (m-general) plus a point x completing one zero-sum relation of
+    the given support on x and support - 1 points of base, such that
+    deleting any point of the relation leaves an m-general set; None when
+    the draw fails."""
+    a, b, c = rng.sample(base, 3)
+    if support == 3:  # x = lam a + (1 - lam) b, lam not in {0, 1}
+        lam = rng.randrange(2, field.q)
+        coeffs, pts = (lam, field.sub(1, lam)), (a, b)
+    else:  # x = a - b + c: the split {a, b} | {c, x} has gamma = 0
+        coeffs, pts = (1, field.neg(1), 1), (a, b, c)
+    x = tuple(0 for _ in range(n))
+    for cf, pt in zip(coeffs, pts):
+        x = tuple(field.add(xi, field.mul(cf, yi)) for xi, yi in zip(x, pt))
+    if x in base:
+        return None
+    full = base + [x]
+    for y in pts + (x,):
+        rest = [z for z in full if z != y]
+        if not is_m_general(PointSet.of(field, n, rest), m):
+            return None
+    return PointSet.of(field, n, full)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_meet_in_the_middle_hand_built_negatives(m):
+    rng = random.Random(100 + m)
+    supports = (3,) if m == 3 else (3, 4)
+    for p, d in [(2, 2), (3, 1), (5, 1), (3, 2), (2, 1)]:
+        field = make_field(p, d)
+        for support in supports:
+            if support == 3 and field.q == 2:
+                continue  # over F_2 every zero-sum relation has even support
+            built = 0
+            for _ in range(200):
+                base = _grow(field, 4, m, max(3, m - 1 + rng.randrange(3)), rng)
+                A = _only_dependency(field, 4, m, base, rng, support)
+                if A is None:
+                    continue
+                assert not is_m_general_arithmetic(A, m), (field.q, m, support, A.points)
+                assert not m_general_by_forms(field, A.points, m)
+                assert not m_general_oracle(field, A.points, m)
+                built += 1
+                if built == 4:
+                    break
+            assert built == 4, (field.q, m, support)

@@ -196,3 +196,11 @@ def test_bound_report_and_csv():
     assert lines[3].startswith("3,3,4,1,NA,NA,")
     # six significant digits
     assert "4.53113" in lines[2]
+
+
+def test_bound_report_bennett_na_below_m_minus_2():
+    r = bound_report(2, 9, 5)  # n = 2 < m - 2
+    assert r.main is not None and r.refined is not None
+    assert r.bennett is None and r.t_star is None and r.mu_bennett is None
+    r2 = bound_report(3, 9, 5)
+    assert r2.bennett is not None and r2.mu_bennett is not None

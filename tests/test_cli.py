@@ -207,3 +207,40 @@ def test_verify_outside_equivalence_range_notes(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
     assert "only established for m <= n" in out
+
+
+def test_search_greedy_rejects_zero_restarts(capsys, tmp_path):
+    cert_path = tmp_path / "g.json"
+    code, _, err = run(
+        capsys, "search", "--n", "8", "--q", "2", "--m", "4",
+        "--greedy", "--restarts", "0", "-o", str(cert_path),
+    )
+    assert code == 2
+    assert "restarts" in err
+    assert not cert_path.exists()
+
+
+def test_bounds_readme_example_prints_na(capsys):
+    # n = 2 < m - 2: Bennett's bound does not apply to that row
+    code, out, _ = run(capsys, "bounds", "--q", "9", "--m", "5", "--n", "2", "4", "8")
+    assert code == 0
+    rows = out.split("n=")[1:]
+    assert [r.split()[0] for r in rows] == ["2", "4", "8"]
+    assert "bennett bound  : NA" in rows[0] and "mu bennett     : NA" in rows[0]
+    assert "counting bound : 6.80336" in rows[0]
+    assert all("bennett bound  : NA" not in r for r in rows[1:])
+    code, out, _ = run(capsys, "bounds", "--q", "9", "--m", "5", "--n", "2", "4", "8", "--csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[2].split(",")[6:] == ["NA", "NA", "0.5", "NA"]
+    assert "NA" not in lines[3] and "NA" not in lines[4]
+
+
+def test_construct_n16_verify_both_oracles(capsys, tmp_path):
+    setfile = tmp_path / "c16.txt"
+    code, _, _ = run(capsys, "construct", "--n", "16", "-o", str(setfile))
+    assert code == 0
+    code, out, _ = run(capsys, "verify", str(setfile))
+    assert code == 0
+    assert "geometric: 256 points, 4-general" in out
+    assert "arithmetic: 256 points, 4-general" in out

@@ -81,6 +81,15 @@ def test_axioms_exhaustive(p, d):
         assert f.mul(a, f.inv(a)) == 1
 
 
+@pytest.mark.parametrize("p,d", [(3, 1), (2, 2), (3, 2), (5, 2), (3, 3)])
+def test_sub_is_add_of_neg(p, d):
+    f = make_field(p, d)
+    for a in f.elements():
+        for b in f.elements():
+            assert f.sub(a, b) == f.add(a, f.neg(b))
+            assert f.add(f.sub(a, b), b) == a
+
+
 @pytest.mark.parametrize("p,d", [(2, 5), (3, 3), (5, 2), (7, 2)])
 def test_axioms_random_larger(p, d):
     f = make_field(p, d)
