@@ -8,7 +8,6 @@ from .affine import (
     affine_rank,
     is_affinely_independent,
     is_m_general,
-    is_m_general_geometric,
     add_point_preserves,
     read_point_set,
     write_point_set,
@@ -56,7 +55,6 @@ __all__ = [
     "affine_rank",
     "is_affinely_independent",
     "is_m_general",
-    "is_m_general_geometric",
     "add_point_preserves",
     "read_point_set",
     "write_point_set",

@@ -126,15 +126,29 @@ def _check_m_range(m: int, n: int) -> None:
         raise ValueError(f"m out of range: need 3 <= m <= n+2, got m={m}, n={n}")
 
 
-def _sidon_ok_char2(codes: Sequence[int]) -> bool:
-    """q=2, m=4 fast path: no two distinct pairs share an XOR (pairwise sum)."""
-    seen = set()
+def _sidon_ok_char2(codes: Sequence[int], n: int) -> bool:
+    """q=2, m=4 fast path: no two distinct pairs share an XOR (pairwise sum).
+
+    The XORs seen so far live in a bitmap over F_2^n (2^n bits) unless 2^n
+    exceeds 8 N^2 for N points, when a set of at most N^2/2 of them is smaller.
+    """
+    if 1 << n > 8 * len(codes) ** 2:
+        seen = set()
+        for i, a in enumerate(codes):
+            for b in codes[i + 1 :]:
+                s = a ^ b
+                if s in seen:
+                    return False
+                seen.add(s)
+        return True
+    bits = bytearray((1 << n) + 7 >> 3)
     for i, a in enumerate(codes):
         for b in codes[i + 1 :]:
             s = a ^ b
-            if s in seen:
+            byte, bit = s >> 3, 1 << (s & 7)
+            if bits[byte] & bit:
                 return False
-            seen.add(s)
+            bits[byte] |= bit
     return True
 
 
@@ -146,7 +160,7 @@ def is_m_general(A: PointSet, m: int, fast_path: bool = True) -> bool:
     """
     _check_m_range(m, A.n)
     if fast_path and A.field.q == 2 and m == 4:
-        return _sidon_ok_char2([A.encode(p) for p in A.points])
+        return _sidon_ok_char2([A.encode(p) for p in A.points], A.n)
     s = min(m, len(A))
     if s <= 2:
         return True
@@ -155,10 +169,6 @@ def is_m_general(A: PointSet, m: int, fast_path: bool = True) -> bool:
         if not _independent(field, subset):
             return False
     return True
-
-
-# kept as the documented spelling of the geometric oracle
-is_m_general_geometric = is_m_general
 
 
 def add_point_preserves(A: PointSet, p: Sequence[int], m: int) -> bool:

@@ -8,7 +8,8 @@ Three bound families:
 * its refined form, solving  L * C(x, k) <= q^n  exactly for real x, where
   L is the exact number of all-nonzero length-k coefficient vectors with a
   fixed nonzero sum (L = 1 for q = 2, where unordered k-subset sums must be
-  distinct);
+  distinct); the largest integer solution, the cap that search and
+  certificate checks compare against, is found in exact integers;
 * Bennett's bound  2m + m * (min_t h(t))^n  with
       h(t) = t^(-(q-1)/m) * (1 - t^q) / (1 - t),
   valid when q is odd or m and q are both even, minimized by ternary search
@@ -21,6 +22,7 @@ log_q(min h) from Bennett's.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .arithmetic import count_nonzero_sum_vectors
@@ -29,6 +31,7 @@ __all__ = [
     "BoundReport",
     "bound_main",
     "refined_bound",
+    "integer_cap",
     "h_eval",
     "h_deriv",
     "minimize_h",
@@ -55,20 +58,55 @@ def _check_main_pre(n: int, q: int, m: int) -> None:
 
 
 def bound_main(n: int, q: int, m: int) -> float:
-    """Closed-form counting upper bound on |A| for an m-general A in F_q^n."""
+    """Closed-form counting upper bound on |A| for an m-general A in F_q^n;
+    inf beyond the float range."""
     _check_main_pre(n, q, m)
     k = m // 2
-    if q == 2:
-        return math.factorial(k) ** (1 / k) * 2 ** (n / k) + k
-    return k * q ** (n / k) / ((q - 1) ** (1 - 2 / k) * (q - 2) ** (1 / k))
+    try:
+        if q == 2:
+            return math.factorial(k) ** (1 / k) * 2 ** (n / k) + k
+        return k * q ** (n / k) / ((q - 1) ** (1 - 2 / k) * (q - 2) ** (1 / k))
+    except OverflowError:
+        return math.inf
 
 
-def _falling_binomial(x: float, k: int) -> float:
-    """C(x, k) = x(x-1)...(x-k+1)/k! for real x."""
-    acc = 1.0
-    for i in range(k):
-        acc *= x - i
-    return acc / math.factorial(k)
+def _coefficient_count(q: int, k: int) -> int:
+    return 1 if q == 2 else count_nonzero_sum_vectors(q, k, gamma_is_zero=False)
+
+
+def _iroot(x: int, k: int) -> int:
+    """floor(x ** (1/k)) for x >= 0, by integer Newton iteration from above."""
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // k)  # > the root
+    while True:
+        nxt = ((k - 1) * r + x // r ** (k - 1)) // k
+        if nxt >= r:
+            return r
+        r = nxt
+
+
+def integer_cap(n: int, q: int, m: int) -> int:
+    """max{x in Z : L * C(x, k) <= q^n}, in exact integer arithmetic.
+
+    With P(x) = x(x-1)...(x-k+1) = k! C(x, k) and U = floor(k! q^n / L),
+    (x-k+1)^k <= P(x) <= x^k puts the answer in [r, r + k - 1] for
+    r = floor(U^(1/k)), so a few bisection steps with math.comb settle it
+    (C(x, k) = 0 for x < k, so the answer is at least k - 1).
+    """
+    _check_main_pre(n, q, m)
+    k = m // 2
+    L = _coefficient_count(q, k)
+    target = q**n
+    lo = max(_iroot(math.factorial(k) * target // L, k), k - 1)
+    hi = lo + k  # infeasible
+    while hi - lo > 1:  # L*C(lo,k) <= target < L*C(hi,k)
+        mid = (lo + hi) // 2
+        if L * math.comb(mid, k) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def refined_bound(n: int, q: int, m: int) -> float:
@@ -76,22 +114,27 @@ def refined_bound(n: int, q: int, m: int) -> float:
 
     L is the exact coefficient-vector count (an implementation strengthening
     over its provable lower bound (q-1)^(k-2) * (q-2)), or 1 when q = 2.
+    The root lies in [cap, cap + 1) for the integer cap and is found by
+    bisection on log C(x, k), so no power of q is taken in floating point.
+    inf when the root exceeds the float range.
     """
     _check_main_pre(n, q, m)
     k = m // 2
-    L = 1 if q == 2 else count_nonzero_sum_vectors(q, k, gamma_is_zero=False)
-    target = float(q) ** n / L
-    lo, hi = float(k - 1), float(k)
-    while _falling_binomial(hi, k) < target:
-        lo, hi = hi, 2 * hi
-    for _ in range(200):
+    log_target = n * math.log(q) - math.log(_coefficient_count(q, k)) + math.lgamma(k + 1)
+    if log_target / k >= math.log(sys.float_info.max) - 1e-9:  # margin for rounding
+        return math.inf
+    cap = integer_cap(n, q, m)
+
+    def excess(x: float) -> float:
+        return sum(math.log(x - i) for i in range(k)) - log_target
+
+    lo, hi = float(cap), float(cap + 1)
+    while hi - lo > 1e-12 * hi:
         mid = (lo + hi) / 2
-        if _falling_binomial(mid, k) <= target:
+        if excess(mid) <= 0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
     return (lo + hi) / 2
 
 
@@ -146,10 +189,14 @@ def _check_bennett_pre(q: int, m: int, n: int | None = None) -> None:
 
 
 def bennett_bound(n: int, q: int, m: int):
-    """Bennett's bound 2m + m*(min h)^n; returns (bound, t_star)."""
+    """Bennett's bound 2m + m*(min h)^n, inf beyond the float range;
+    returns (bound, t_star)."""
     _check_bennett_pre(q, m, n)
     t_star, h_min, _ = minimize_h(q, m)
-    return 2 * m + m * h_min**n, t_star
+    try:
+        return 2 * m + m * h_min**n, t_star
+    except OverflowError:
+        return math.inf, t_star
 
 
 def mu_upper_main(m: int) -> float:

@@ -229,9 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--m", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--greedy", action="store_true")
+    p.add_argument("--greedy", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--max-nodes", type=int, default=100_000_000)

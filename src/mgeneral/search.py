@@ -6,16 +6,31 @@ acts transitively and preserves m-generality) and grows sets only by points
 greater than the last chosen, so every candidate set is enumerated once and
 the first witness found at any size is the lexicographically least one.
 
-Pruning (both rules individually toggleable):
-* abandon a branch when |A| plus the number of remaining candidates cannot
-  beat the best size found;
-* once the best size reaches the floor of the refined counting bound, no
-  larger set can exist and the search stops, still exact.
+Every engine keeps, at each depth, the points that can no longer join A as
+one big-integer bitmask over all q^n point codes, and iterates the allowed
+points above the last chosen one lowest bit first.  No rank test runs in
+the search loop.
 
-For q = 2, m = 4 the m-general condition is the Sidon pair-sum condition,
-and the engine keeps the forbidden set as a bitmask over all 2^n points:
+Pruning (both rules individually toggleable):
+* abandon a branch when |A| plus the number of allowed candidates left
+  cannot beat the best size found;
+* once the best size reaches the refined counting bound's integer cap
+  max{x : L C(x, k) <= q^n}, no larger set can exist and the search stops,
+  still exact.
+
+Blocked-flat kernel (every (q, m) but q = 2, m = 4): A + {p} is m-general
+exactly when p lies in no affine hull of min(m-1, |A|) points of A.  When x
+joins A, the update ORs in the hulls of {x} + T over the subsets T of A
+with |T| <= m-2, enumerated as x + sum c_t (t - x) with every c_t nonzero.
+Per node this is sum_{j <= m-2} C(|A|, j) (q-1)^j points (|A|(q-1) + 1 for
+caps), each one vector addition over q x q lookup lists plus its code.
+The randomized greedy uses the same update, testing a candidate with one
+bit of the mask.
+
+For q = 2, m = 4 the m-general condition is the Sidon pair-sum condition:
 adding p to A with pair-sum set S forbids exactly {p}, A, and S xor p, so
-one big-integer update per extension replaces subset re-checks.
+the update is a few whole-mask XOR translates (`_xor_shift`) instead of a
+walk over the pairs' flats.
 
 Certificates are JSON files carrying the witness and enough provenance to
 re-verify from scratch; `verify_certificate` re-runs both the geometric and
@@ -25,22 +40,20 @@ arithmetic oracles on the witness and re-checks the counting bound.
 from __future__ import annotations
 
 import json
-import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from operator import getitem, mul
 
 from . import __version__
-from .affine import PointSet, _independent, _check_m_range
+from .affine import PointSet, _check_m_range
 from .arithmetic import is_m_general_arithmetic
-from .bounds import refined_bound
+from .bounds import integer_cap, refined_bound
 from .field import Field, field_for_order, field_from_q_spec, make_field
 
 __all__ = [
     "SearchCertificate",
-    "SearchLimits",
     "search_exact",
     "search_greedy",
     "verify_certificate",
@@ -62,12 +75,6 @@ class MalformedCertificateError(ValueError):
 
 class AmbientMismatchError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SearchLimits:
-    max_nodes: int = DEFAULT_MAX_NODES
-    max_seconds: float = DEFAULT_MAX_SECONDS
 
 
 @dataclass(frozen=True)
@@ -94,19 +101,20 @@ def _as_field(q) -> Field:
     return q if isinstance(q, Field) else field_for_order(q)
 
 
-def _decode_all(field: Field, n: int) -> list[tuple[int, ...]]:
-    q = field.q
-    total = q**n
+def _ambient_size(field: Field, n: int) -> int:
+    total = field.q**n
     if total > AMBIENT_LIMIT:
         raise ValueError(f"ambient too large for search: q^n = {total}")
-    pts = []
-    for code in range(total):
-        coords, c = [], code
-        for _ in range(n):
-            coords.append(c % q)
-            c //= q
-        pts.append(tuple(reversed(coords)))
-    return pts
+    return total
+
+
+def _decode(q: int, n: int, code: int) -> tuple[int, ...]:
+    """Inverse of PointSet.encode: the point whose base-q digits are code."""
+    coords = []
+    for _ in range(n):
+        code, c = divmod(code, q)
+        coords.append(c)
+    return tuple(reversed(coords))
 
 
 class _Budget:
@@ -147,39 +155,80 @@ class _CapReached(Exception):
     pass
 
 
-# -- generic engine --------------------------------------------------------------
+# -- blocked-flat kernel -----------------------------------------------------------
 
 
-def _feasible_generic(field: Field, pts: list, cand, m: int) -> bool:
-    s = min(m, len(pts) + 1)
-    if s <= 2:
-        return True
-    for rest in combinations(pts, s - 1):
-        if not _independent(field, rest + (cand,)):
-            return False
-    return True
+class _Flats:
+    """Blocked-flat kernel (see the module docstring) for one (field, n, m).
+
+    Vectors are coordinate tuples.  Field addition and scaling are q x q
+    lookup lists when q^2 <= AMBIENT_LIMIT, which holds for every n >= 2;
+    only a large field at n = 1 calls the Field methods instead.
+    """
+
+    __slots__ = ("q", "n", "m", "full", "weights", "vadd", "vscale", "minus_one")
+
+    def __init__(self, field: Field, n: int, m: int):
+        q = field.q
+        self.q, self.n, self.m = q, n, m
+        self.full = (1 << q**n) - 1
+        self.weights = [q ** (n - 1 - j) for j in range(n)]
+        self.minus_one = field.neg(1)
+        if q * q <= AMBIENT_LIMIT:
+            elems = range(q)
+            add_rows = [[field.add(a, b) for b in elems] for a in elems].__getitem__
+            mul_rows = [[field.mul(c, a) for a in elems] for c in elems]
+            self.vadd = lambda u, v: tuple(map(getitem, map(add_rows, u), v))
+            self.vscale = lambda c, u: tuple(map(mul_rows[c].__getitem__, u))
+        else:
+            self.vadd = lambda u, v: tuple(map(field.add, u, v))
+            self.vscale = lambda c, u: tuple(field.mul(c, a) for a in u)
+
+    def extend(self, pts: list, blocked: int, x: tuple) -> int:
+        """The blocked mask after x joins pts: blocked plus every
+        x + sum_{t in T} c_t (t - x), all c_t nonzero, over T within pts with
+        |T| <= m-2, each built from the point for T minus its last element."""
+        vadd, vscale, weights = self.vadd, self.vscale, self.weights
+        neg_x = vscale(self.minus_one, x)
+        steps = [[vscale(c, vadd(t, neg_x)) for c in range(1, self.q)] for t in pts]
+        level = [((x,), 0)]
+        blocked |= 1 << sum(map(mul, x, weights))
+        for _ in range(min(self.m - 2, len(pts))):
+            grown = []
+            for hull, start in level:
+                for i in range(start, len(steps)):
+                    new = [vadd(p, v) for p in hull for v in steps[i]]
+                    for p in new:
+                        blocked |= 1 << sum(map(mul, p, weights))
+                    grown.append((new, i + 1))
+            level = grown
+        return blocked
 
 
-def _dfs_generic(field, decoded, m, codes, pts, start, best, budget, cap, best_prune):
+def _dfs_flats(flats, codes, pts, blocked, best, budget, cap, best_prune):
     if not budget.tick():
         return
-    total = len(decoded)
-    for code in range(start, total):
-        if best_prune and len(codes) + (total - code) <= best.size:
+    allowed = ~blocked & flats.full & -(1 << (codes[-1] + 1))
+    remaining = allowed.bit_count()
+    while allowed:
+        if best_prune and len(codes) + remaining <= best.size:
             break
-        cand = decoded[code]
-        if not _feasible_generic(field, pts, cand, m):
-            continue
-        codes.append(code)
-        pts.append(cand)
+        low = allowed & -allowed
+        p = low.bit_length() - 1
+        x = _decode(flats.q, flats.n, p)
+        child = flats.extend(pts, blocked, x)
+        codes.append(p)
+        pts.append(x)
         best.offer(codes)
         if cap is not None and best.size >= cap:
             raise _CapReached
-        _dfs_generic(field, decoded, m, codes, pts, code + 1, best, budget, cap, best_prune)
+        _dfs_flats(flats, codes, pts, child, best, budget, cap, best_prune)
         codes.pop()
         pts.pop()
         if budget.exhausted:
             return
+        allowed ^= low
+        remaining -= 1
 
 
 # -- q = 2, m = 4 bitmask engine ---------------------------------------------------
@@ -248,12 +297,12 @@ def _dfs_sidon(magic, full, codes, a_mask, s_mask, bad_mask, last, best, budget,
 # -- drivers -----------------------------------------------------------------------
 
 
-def _run_span(field, n, m, second_lo, second_hi, limits, cap, best_prune):
+def _run_span(field, n, m, second_lo, second_hi, max_nodes, max_seconds, cap, best_prune):
     """Explore all sets {0, s, ...} with second point s in [second_lo, second_hi).
 
     Returns (best_size, witness_codes, nodes, exhausted, cap_hit).
     """
-    budget = _Budget(limits.max_nodes, limits.max_seconds)
+    budget = _Budget(max_nodes, max_seconds)
     best = _Best()
     best.offer([0])
     cap_hit = False
@@ -262,33 +311,28 @@ def _run_span(field, n, m, second_lo, second_hi, limits, cap, best_prune):
         magic = _magic_masks(n)
         full = (1 << (1 << n)) - 1
     else:
-        decoded = _decode_all(field, n)
+        flats = _Flats(field, n, m)
+        origin = (0,) * n
     total = field.q**n
     try:
         for s in range(second_lo, second_hi):
             # sets with second point s live inside {0, s} + points above s
             if best_prune and 2 + (total - s - 1) <= best.size:
                 break
+            codes = [0, s]
+            best.offer(codes)
+            if cap is not None and best.size >= cap:
+                raise _CapReached
             if use_sidon:
                 low = 1 << s
-                codes = [0, s]
-                best.offer(codes)
-                if cap is not None and best.size >= cap:
-                    raise _CapReached
                 _dfs_sidon(
                     magic, full, codes, 1 | low, low, 1 | low, s,
                     best, budget, cap, best_prune,
                 )
             else:
-                codes = [0, s]
-                pts = [decoded[0], decoded[s]]
-                best.offer(codes)
-                if cap is not None and best.size >= cap:
-                    raise _CapReached
-                _dfs_generic(
-                    field, decoded, m, codes, pts, s + 1,
-                    best, budget, cap, best_prune,
-                )
+                x = _decode(field.q, n, s)
+                blocked = flats.extend([origin], 1, x)
+                _dfs_flats(flats, codes, [origin, x], blocked, best, budget, cap, best_prune)
             if budget.exhausted:
                 break
     except _CapReached:
@@ -297,14 +341,12 @@ def _run_span(field, n, m, second_lo, second_hi, limits, cap, best_prune):
 
 
 def _run_span_args(args):
-    p, d, modulus, n, m, lo, hi, limits, cap, best_prune = args
-    field = make_field(p, d, modulus)
-    return _run_span(field, n, m, lo, hi, limits, cap, best_prune)
+    p, d, modulus, *rest = args
+    return _run_span(make_field(p, d, modulus), *rest)
 
 
 def _make_certificate(field, n, m, value, witness_codes, nodes, exact, bound, seed, restarts, reductions):
-    decoded = _decode_all(field, n)
-    witness = tuple(sorted(decoded[c] for c in witness_codes))
+    witness = tuple(sorted(_decode(field.q, n, c) for c in witness_codes))
     return SearchCertificate(
         n=n,
         q_spec=field.q_spec,
@@ -340,22 +382,19 @@ def search_exact(
     """
     field = _as_field(q)
     _check_m_range(m, n)
-    total = field.q**n
-    if total > AMBIENT_LIMIT:
-        raise ValueError(f"ambient too large for search: q^n = {total}")
+    total = _ambient_size(field, n)
     bound = refined_bound(n, field.q, m) if m >= 4 else None
-    cap = math.floor(bound) if (cap_prune and bound is not None) else None
-    limits = SearchLimits(max_nodes, max_seconds)
+    cap = integer_cap(n, field.q, m) if (cap_prune and m >= 4) else None
 
     if workers <= 1:
         size, witness, nodes, exhausted, cap_hit = _run_span(
-            field, n, m, 1, total, limits, cap, best_prune
+            field, n, m, 1, total, max_nodes, max_seconds, cap, best_prune
         )
     else:
         chunk = max(1, -(-(total - 1) // (workers * 4)))
         spans = [(s, min(s + chunk, total)) for s in range(1, total, chunk)]
         args = [
-            (field.p, field.d, field.modulus, n, m, lo, hi, limits, cap, best_prune)
+            (field.p, field.d, field.modulus, n, m, lo, hi, max_nodes, max_seconds, cap, best_prune)
             for lo, hi in spans
         ]
         size, witness, nodes, exhausted, cap_hit = 1, [0], 0, False, False
@@ -384,9 +423,9 @@ def search_greedy(n: int, q, m: int, seed: int = 0, restarts: int = 1) -> Search
         raise ValueError(f"need restarts >= 1, got {restarts}")
     field = _as_field(q)
     _check_m_range(m, n)
-    decoded = _decode_all(field, n)
-    total = len(decoded)
+    total = _ambient_size(field, n)
     use_sidon = field.q == 2 and m == 4
+    flats = None if use_sidon else _Flats(field, n, m)
     bound = refined_bound(n, field.q, m) if m >= 4 else None
     best_sz, best_wit = 0, []
     checks = 0
@@ -407,12 +446,15 @@ def search_greedy(n: int, q, m: int, seed: int = 0, restarts: int = 1) -> Search
         else:
             chosen = []
             pts: list = []
+            blocked = 0
             for code in order:
                 checks += 1
-                cand = decoded[code]
-                if _feasible_generic(field, pts, cand, m):
-                    chosen.append(code)
-                    pts.append(cand)
+                if blocked >> code & 1:
+                    continue
+                x = _decode(field.q, n, code)
+                blocked = flats.extend(pts, blocked, x)
+                chosen.append(code)
+                pts.append(x)
         wit = sorted(chosen)
         if len(wit) > best_sz or (len(wit) == best_sz and wit < best_wit):
             best_sz, best_wit = len(wit), wit
@@ -511,7 +553,6 @@ def verify_certificate(cert) -> bool:
         return False
     if len(ps) >= cert.m and not is_m_general_arithmetic(ps, cert.m):
         return False
-    if cert.m >= 4:
-        if cert.value > math.floor(refined_bound(cert.n, field.q, cert.m)):
-            return False
+    if cert.m >= 4 and cert.value > integer_cap(cert.n, field.q, cert.m):
+        return False
     return True

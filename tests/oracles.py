@@ -212,5 +212,42 @@ def brute_force_max(field, n: int, m: int, node_budget: int = 10_000_000,
     return best["size"], best["witness"], best["nodes"]
 
 
+def greedy_reference(field, n: int, m: int, seed: int, restarts: int):
+    """Randomized greedy on the rank-based incremental test
+    `affine.add_point_preserves`, with the package's shuffle: restart r
+    scans the point codes in `random.Random(f"{seed}:{r}")` shuffled order,
+    and the largest result wins, ties going to the lex-least sorted codes.
+    Returns (value, witness points, candidate checks)."""
+    import random
+
+    from mgeneral.affine import PointSet, add_point_preserves
+
+    q = field.q
+    total = q**n
+
+    def decode(code):
+        coords = []
+        for _ in range(n):
+            code, c = divmod(code, q)
+            coords.append(c)
+        return tuple(reversed(coords))
+
+    best, checks = [], 0
+    for r in range(restarts):
+        order = list(range(total))
+        random.Random(f"{seed}:{r}").shuffle(order)
+        chosen = PointSet.of(field, n, [])
+        codes = []
+        for code in order:
+            checks += 1
+            if add_point_preserves(chosen, decode(code), m):
+                chosen = chosen.with_point(decode(code))
+                codes.append(code)
+        codes.sort()
+        if len(codes) > len(best) or (len(codes) == len(best) and codes < best):
+            best = codes
+    return len(best), tuple(decode(c) for c in best), checks
+
+
 def finite_difference(fn, t: float, eps: float = 1e-7) -> float:
     return (fn(t + eps) - fn(t - eps)) / (2 * eps)

@@ -166,6 +166,18 @@ def test_fast_path_matches_generic_q2_m4(f2):
         pts = rng.sample(space4, rng.randint(1, 9))
         ps = PointSet.of(f2, 4, pts)
         assert is_m_general(ps, 4, fast_path=True) == is_m_general(ps, 4, fast_path=False)
+    # few points in a large ambient: the pair XORs go to a set, not a bitmap
+    space8 = list(product(range(2), repeat=8))
+    verdicts = set()
+    for i in range(60):
+        pts = rng.sample(space8, rng.randint(4, 5))
+        if i % 2:  # a + b + c + d = 0: four points on a plane
+            pts[3] = tuple(a ^ b ^ c for a, b, c in zip(*pts[:3]))
+        ps = PointSet.of(f2, 8, pts)
+        verdict = is_m_general(ps, 4, fast_path=True)
+        assert verdict == is_m_general(ps, 4, fast_path=False)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_add_point_preserves_examples(f3):

@@ -11,6 +11,7 @@ from mgeneral.bounds import (
     bound_report,
     h_deriv,
     h_eval,
+    integer_cap,
     minimize_h,
     mu_upper_bennett,
     mu_upper_main,
@@ -20,6 +21,7 @@ from mgeneral.bounds import (
     table1_grid,
     table2_rows,
 )
+from mgeneral.arithmetic import count_nonzero_sum_vectors
 from oracles import finite_difference
 
 # published upper bounds on the growth rate, by (m, q)
@@ -54,6 +56,31 @@ def test_refined_bound_closed_form_q2():
         want = (1 + math.sqrt(1 + 2 ** (n + 3))) / 2
         assert refined_bound(n, 2, 4) == pytest.approx(want, abs=1e-7)
         assert refined_bound(n, 2, 4) <= 1 + math.sqrt(2) * 2 ** (n / 2)
+
+
+def test_integer_cap_is_the_largest_solution():
+    for q in (2, 3, 4, 5, 7, 9):
+        for m in range(4, 10):
+            k = m // 2
+            L = 1 if q == 2 else count_nonzero_sum_vectors(q, k, gamma_is_zero=False)
+            for n in list(range(1, 30)) + [57, 84, 200]:
+                cap = integer_cap(n, q, m)
+                assert L * math.comb(cap, k) <= q**n < L * math.comb(cap + 1, k), (n, q, m)
+                r = refined_bound(n, q, m)
+                assert cap * (1 - 1e-12) <= r < (cap + 1) * (1 + 1e-12), (n, q, m)
+
+
+def test_integer_cap_where_the_float_floor_was_one_short():
+    # q^n = 2^84: the float bisection floored to 6219777023950
+    assert integer_cap(84, 2, 4) == 6219777023951
+    assert math.floor(refined_bound(84, 2, 4)) == 6219777023951
+
+
+def test_bounds_beyond_float_range():
+    assert refined_bound(1100, 2, 4) == pytest.approx(2**550 * math.sqrt(2), rel=1e-12)
+    assert refined_bound(10**6, 2, 4) == math.inf
+    assert bound_main(10**4, 3, 4) == math.inf
+    assert bennett_bound(10**6, 3, 3)[0] == math.inf
 
 
 def test_refined_le_main():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -244,3 +245,48 @@ def test_construct_n16_verify_both_oracles(capsys, tmp_path):
     assert code == 0
     assert "geometric: 256 points, 4-general" in out
     assert "arithmetic: 256 points, 4-general" in out
+
+
+def test_bounds_huge_n_prints_numbers(capsys):
+    code, out, _ = run(capsys, "bounds", "--q", "2", "--m", "4", "--n", "1100", "--csv")
+    assert code == 0
+    row = out.splitlines()[2].split(",")
+    values = [float(c) for c in row[4:]]
+    assert all(0 < v < float("inf") for v in values)
+    assert values[1] == pytest.approx(2**550 * 2**0.5, rel=1e-5)  # C(x, 2) = 2^1100
+
+
+def test_cli_fuzz_exit_codes(capsys, tmp_path):
+    """Random bounds, table and search command lines end in a documented exit
+    code, never in an exception escaping cli.main."""
+    rng = random.Random(2002)
+    good_qs = ["2", "3", "4", "5", "9", "2^2", "3^1:3"]
+
+    def q_arg(extra=()):
+        return rng.choice(["6", "1", "0", "-3", "x", "2^2:7"] if rng.random() < 0.2 else good_qs + list(extra))
+
+    cert = str(tmp_path / "c.json")
+    for _ in range(200):
+        kind = rng.choice(["bounds", "table", "search", "search"])
+        if kind == "bounds":
+            ns = [str(rng.choice([rng.randint(-2, 40), rng.randint(40, 5000), 10 ** rng.randint(4, 7)]))
+                  for _ in range(rng.randint(1, 3))]
+            argv = ["bounds", "--q", q_arg(["11", "256", "1024"]), "--m", str(rng.randint(-1, 14)), "--n", *ns]
+            if rng.random() < 0.5:
+                argv.append("--csv")
+        elif kind == "table":
+            argv = ["table", "--which", rng.choice(["1", "2", "3", "0", "x"])]
+        else:
+            n = rng.choice([-1, 0, 1, 2, 2, 3, 3])
+            argv = ["search", "--n", str(n), "--q", q_arg(), "--m", str(rng.choice([1, 6, 3, 3, 4, 4, 5])),
+                    "--max-nodes", str(rng.randint(-1, 40)), "--max-seconds", rng.choice(["0", "0.05", "-1"]), "-o", cert]
+            if rng.random() < 0.4:
+                argv += ["--greedy", "--seed", str(rng.randint(-5, 5)), "--restarts", str(rng.randint(-1, 3))]
+            if rng.random() < 0.1:
+                argv += ["--workers", str(rng.randint(0, 2))]
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse rejects the command line
+            code = e.code
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv

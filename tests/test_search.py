@@ -1,13 +1,16 @@
 import io
 import json
+import random
 
 import pytest
 
-from mgeneral.affine import is_m_general
+from mgeneral.affine import PointSet, add_point_preserves, is_m_general
 from mgeneral.bounds import refined_bound
+from mgeneral.field import make_field
 from mgeneral.search import (
     AmbientMismatchError,
     MalformedCertificateError,
+    _Flats,
     certificate_to_json,
     read_certificate,
     search_exact,
@@ -15,7 +18,7 @@ from mgeneral.search import (
     verify_certificate,
     write_certificate,
 )
-from oracles import brute_force_max
+from oracles import brute_force_max, greedy_reference
 
 
 def test_trivial_line():
@@ -165,3 +168,54 @@ def test_certificate_records_provenance():
 def test_ambient_guard():
     with pytest.raises(ValueError, match="ambient too large"):
         search_exact(21, 2, 4)
+
+
+def _all_points(q, n):
+    return [tuple(c // q ** (n - 1 - j) % q for j in range(n)) for c in range(q**n)]
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_flat_kernel_matches_rank_test(p, d):
+    """After each point of a seeded m-general set joins, the kernel's allowed
+    points are exactly those the rank-based incremental test accepts."""
+    field = make_field(p, d)
+    q = field.q
+    rng = random.Random(f"flats:{q}")
+    for n in (2, 3):
+        everything = _all_points(q, n)
+        for m in range(3, n + 3):
+            flats = _Flats(field, n, m)
+            limit = m + (1 if q**n > 100 else 3)
+            pts, blocked = [], 0
+            for _ in range(50 * limit):
+                if len(pts) == limit:
+                    break
+                x = rng.choice(everything)
+                A = PointSet.of(field, n, pts)
+                if x in A or not add_point_preserves(A, x, m):
+                    continue
+                blocked = flats.extend(pts, blocked, x)
+                pts.append(x)
+                A = A.with_point(x)
+                allowed = ~blocked & flats.full
+                want = {A.encode(y) for y in everything if y not in A and add_point_preserves(A, y, m)}
+                assert {c for c in range(q**n) if allowed >> c & 1} == want, (n, m, pts)
+            assert len(pts) >= min(limit, m - 1), (n, m)
+
+
+def test_exact_cap_in_ag33():
+    cert = search_exact(3, 3, 3)
+    assert cert.exact and cert.value == 9
+    assert is_m_general(cert.point_set(), 3)
+
+
+@pytest.mark.parametrize(
+    "p,d,n,m",
+    [(3, 1, 3, 3), (5, 1, 2, 3), (3, 1, 3, 4), (2, 2, 3, 4), (3, 2, 2, 4), (2, 1, 4, 3), (2, 1, 4, 4)],
+)
+def test_greedy_matches_reference(p, d, n, m):
+    field = make_field(p, d)
+    for seed, restarts in [(0, 1), (1, 2), (7, 3)]:
+        cert = search_greedy(n, field, m, seed=seed, restarts=restarts)
+        want = greedy_reference(field, n, m, seed, restarts)
+        assert (cert.value, cert.witness, cert.nodes_explored) == want
