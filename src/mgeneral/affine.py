@@ -8,6 +8,7 @@ hereditary extension and what the incremental search relies on.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -173,26 +174,15 @@ def is_m_general(A: PointSet, m: int, fast_path: bool = True) -> bool:
 
 def add_point_preserves(A: PointSet, p: Sequence[int], m: int) -> bool:
     """Incremental test: does A + {p} stay m-general, checking only subsets
-    through p?  Assumes A itself is already m-general."""
+    through p?  Assumes A itself is already m-general, so for q = 2, m = 4
+    the pair-XOR scan of A + {p} gives the same answer."""
     _check_m_range(m, A.n)
     p = tuple(int(c) for c in p)
     if p in A:
         raise ValueError(f"point already in set: {p}")
     field = A.field
     if field.q == 2 and m == 4:
-        codes = [A.encode(x) for x in A.points]
-        pc = A.encode(p)
-        seen = set()
-        for i, a in enumerate(codes):
-            for b in codes[i + 1 :]:
-                seen.add(a ^ b)
-        new = set()
-        for a in codes:
-            s = pc ^ a
-            if s in seen or s in new:
-                return False
-            new.add(s)
-        return True
+        return _sidon_ok_char2([A.encode(x) for x in A.points] + [A.encode(p)], A.n)
     s = min(m, len(A) + 1)
     if s <= 2:
         return True
@@ -209,26 +199,30 @@ def add_point_preserves(A: PointSet, p: Sequence[int], m: int) -> bool:
 # coordinates as canonical integers separated by spaces.
 
 
+@contextmanager
+def _path_or_stream(target, mode: str = "r"):
+    """`target` itself when it is already a stream, else the file at path
+    `target` opened in `mode` (and closed on exit)."""
+    if hasattr(target, "read" if mode == "r" else "write"):
+        yield target
+    else:
+        with open(target, mode) as fh:
+            yield fh
+
+
 def write_point_set(path, A: PointSet, m: int, comments: Sequence[str] = ()) -> None:
     lines = [FORMAT_LINE]
     lines += [f"# {c}" for c in comments]
     lines.append(f"{A.field.q_spec} {A.n} {m}")
     lines += [" ".join(str(c) for c in p) for p in A.points]
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    with _path_or_stream(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_point_set(path) -> tuple[PointSet, int]:
     """Read a set file; returns (point set, declared m)."""
-    if hasattr(path, "read"):
-        text = path.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    with _path_or_stream(path) as fh:
+        text = fh.read()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != FORMAT_LINE:
         raise ValueError(f"set file must start with `{FORMAT_LINE}`")

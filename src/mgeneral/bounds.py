@@ -32,6 +32,7 @@ __all__ = [
     "bound_main",
     "refined_bound",
     "integer_cap",
+    "within_cap",
     "h_eval",
     "h_deriv",
     "minimize_h",
@@ -107,6 +108,16 @@ def integer_cap(n: int, q: int, m: int) -> int:
         else:
             hi = mid
     return lo
+
+
+def within_cap(value: int, n: int, q: int, m: int) -> bool:
+    """value <= integer_cap(n, q, m), tested as L * C(value, k) <= q^n
+    (C(x, k) does not decrease in x).  A left side of at most n floor(log2 q)
+    bits is below 2^(n floor(log2 q)) <= q^n, and then q^n is not computed."""
+    _check_main_pre(n, q, m)
+    k = m // 2
+    need = _coefficient_count(q, k) * math.comb(value, k)
+    return need.bit_length() <= n * (q.bit_length() - 1) or need <= q**n
 
 
 def refined_bound(n: int, q: int, m: int) -> float:

@@ -60,10 +60,6 @@ def _parse_q(text: str):
     return field_for_order(int(text))
 
 
-def _out_stream(path):
-    return open(path, "w") if path else sys.stdout
-
-
 def cmd_verify(args) -> int:
     A, file_m = read_point_set(args.setfile)
     m = args.m if args.m is not None else file_m
@@ -100,12 +96,7 @@ def cmd_construct(args) -> int:
     ]
     if args.n % 2 == 1:
         comments.append("odd n: embedded even construction, trailing coordinate 0")
-    out = _out_stream(args.output)
-    try:
-        write_point_set(out, A, 4, comments)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    write_point_set(args.output or sys.stdout, A, 4, comments)
     print(f"wrote {len(A)} points in F_2^{args.n}", file=sys.stderr)
     return EXIT_OK
 
@@ -167,12 +158,7 @@ def cmd_search(args) -> int:
             max_seconds=args.max_seconds,
             workers=args.workers,
         )
-    out = _out_stream(args.output)
-    try:
-        write_certificate(out, cert)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    write_certificate(args.output or sys.stdout, cert)
     print(
         f"value={cert.value} exact={cert.exact} nodes={cert.nodes_explored}",
         file=sys.stderr,

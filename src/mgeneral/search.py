@@ -6,31 +6,32 @@ acts transitively and preserves m-generality) and grows sets only by points
 greater than the last chosen, so every candidate set is enumerated once and
 the first witness found at any size is the lexicographically least one.
 
-Every engine keeps, at each depth, the points that can no longer join A as
-one big-integer bitmask over all q^n point codes, and iterates the allowed
-points above the last chosen one lowest bit first.  No rank test runs in
-the search loop.
+One DFS and one randomized greedy run for every (q, m).  Each keeps, per
+depth, the points that can no longer join A as one big-integer bitmask over
+all q^n point codes, updated by a blocked-set kernel when a point joins;
+the DFS iterates the allowed points above the last chosen one lowest bit
+first and the greedy tests a candidate with one bit of the mask.  No rank
+test runs in the search loop.  (q, m) picks the kernel:
 
-Pruning (both rules individually toggleable):
+* Blocked flats (`_Flats`, every (q, m) but q = 2, m = 4): A + {p} is
+  m-general exactly when p lies in no affine hull of min(m-1, |A|) points of
+  A.  When x joins A, the update ORs in the hulls of {x} + T over the subsets
+  T of A with |T| <= m-2, enumerated as x + sum c_t (t - x) with every c_t
+  nonzero.  Per node this is sum_{j <= m-2} C(|A|, j) (q-1)^j points
+  (|A|(q-1) + 1 for caps), each one vector addition over q x q lookup lists
+  plus its code.
+* Pair sums (`_PairSums`, q = 2, m = 4): there the points x + sum c_t (t - x)
+  are x xor t xor u, and m-generality is the Sidon condition that all pair
+  sums differ.  Adding p to A with pair-sum set S blocks {p} and S xor p (A
+  is blocked already) and adds A xor p to S: a few whole-mask XOR translates
+  instead of a walk over the pairs.
+
+Pruning, both rules always on:
 * abandon a branch when |A| plus the number of allowed candidates left
   cannot beat the best size found;
 * once the best size reaches the refined counting bound's integer cap
   max{x : L C(x, k) <= q^n}, no larger set can exist and the search stops,
   still exact.
-
-Blocked-flat kernel (every (q, m) but q = 2, m = 4): A + {p} is m-general
-exactly when p lies in no affine hull of min(m-1, |A|) points of A.  When x
-joins A, the update ORs in the hulls of {x} + T over the subsets T of A
-with |T| <= m-2, enumerated as x + sum c_t (t - x) with every c_t nonzero.
-Per node this is sum_{j <= m-2} C(|A|, j) (q-1)^j points (|A|(q-1) + 1 for
-caps), each one vector addition over q x q lookup lists plus its code.
-The randomized greedy uses the same update, testing a candidate with one
-bit of the mask.
-
-For q = 2, m = 4 the m-general condition is the Sidon pair-sum condition:
-adding p to A with pair-sum set S forbids exactly {p}, A, and S xor p, so
-the update is a few whole-mask XOR translates (`_xor_shift`) instead of a
-walk over the pairs' flats.
 
 Certificates are JSON files carrying the witness and enough provenance to
 re-verify from scratch; `verify_certificate` re-runs both the geometric and
@@ -47,9 +48,9 @@ from dataclasses import dataclass
 from operator import getitem, mul
 
 from . import __version__
-from .affine import PointSet, _check_m_range
+from .affine import PointSet, _check_m_range, _path_or_stream
 from .arithmetic import is_m_general_arithmetic
-from .bounds import integer_cap, refined_bound
+from .bounds import integer_cap, refined_bound, within_cap
 from .field import Field, field_for_order, field_from_q_spec, make_field
 
 __all__ = [
@@ -155,23 +156,29 @@ class _CapReached(Exception):
     pass
 
 
-# -- blocked-flat kernel -----------------------------------------------------------
+# -- blocked-set kernels -----------------------------------------------------------
+#
+# A kernel has `full` (every point code), an `empty` state and
+# `extend(state, code) -> state` for a point joining A; the first field of a
+# state is the blocked mask, the codes that can no longer join A.
 
 
 class _Flats:
     """Blocked-flat kernel (see the module docstring) for one (field, n, m).
 
-    Vectors are coordinate tuples.  Field addition and scaling are q x q
-    lookup lists when q^2 <= AMBIENT_LIMIT, which holds for every n >= 2;
-    only a large field at n = 1 calls the Field methods instead.
+    The state is (blocked, points of A as coordinate tuples).  Field
+    addition and scaling are q x q lookup lists when q^2 <= AMBIENT_LIMIT,
+    which holds for every n >= 2; only a large field at n = 1 calls the
+    Field methods instead.
     """
 
-    __slots__ = ("q", "n", "m", "full", "weights", "vadd", "vscale", "minus_one")
+    __slots__ = ("q", "n", "m", "full", "empty", "weights", "vadd", "vscale", "minus_one")
 
     def __init__(self, field: Field, n: int, m: int):
         q = field.q
         self.q, self.n, self.m = q, n, m
         self.full = (1 << q**n) - 1
+        self.empty = (0, ())
         self.weights = [q ** (n - 1 - j) for j in range(n)]
         self.minus_one = field.neg(1)
         if q * q <= AMBIENT_LIMIT:
@@ -184,15 +191,17 @@ class _Flats:
             self.vadd = lambda u, v: tuple(map(field.add, u, v))
             self.vscale = lambda c, u: tuple(field.mul(c, a) for a in u)
 
-    def extend(self, pts: list, blocked: int, x: tuple) -> int:
-        """The blocked mask after x joins pts: blocked plus every
-        x + sum_{t in T} c_t (t - x), all c_t nonzero, over T within pts with
+    def extend(self, state, code: int):
+        """The point x with this code joins A: block every
+        x + sum_{t in T} c_t (t - x), all c_t nonzero, over T within A with
         |T| <= m-2, each built from the point for T minus its last element."""
+        blocked, pts = state
         vadd, vscale, weights = self.vadd, self.vscale, self.weights
+        x = _decode(self.q, self.n, code)
         neg_x = vscale(self.minus_one, x)
         steps = [[vscale(c, vadd(t, neg_x)) for c in range(1, self.q)] for t in pts]
         level = [((x,), 0)]
-        blocked |= 1 << sum(map(mul, x, weights))
+        blocked |= 1 << code
         for _ in range(min(self.m - 2, len(pts))):
             grown = []
             for hull, start in level:
@@ -202,71 +211,59 @@ class _Flats:
                         blocked |= 1 << sum(map(mul, p, weights))
                     grown.append((new, i + 1))
             level = grown
-        return blocked
+        return blocked, pts + (x,)
 
 
-def _dfs_flats(flats, codes, pts, blocked, best, budget, cap, best_prune):
-    if not budget.tick():
-        return
-    allowed = ~blocked & flats.full & -(1 << (codes[-1] + 1))
-    remaining = allowed.bit_count()
-    while allowed:
-        if best_prune and len(codes) + remaining <= best.size:
-            break
-        low = allowed & -allowed
-        p = low.bit_length() - 1
-        x = _decode(flats.q, flats.n, p)
-        child = flats.extend(pts, blocked, x)
-        codes.append(p)
-        pts.append(x)
-        best.offer(codes)
-        if cap is not None and best.size >= cap:
-            raise _CapReached
-        _dfs_flats(flats, codes, pts, child, best, budget, cap, best_prune)
-        codes.pop()
-        pts.pop()
-        if budget.exhausted:
-            return
-        allowed ^= low
-        remaining -= 1
+class _PairSums:
+    """Pair-sum kernel for q = 2, m = 4 (see the module docstring).
 
+    The state is (blocked, A, S) with A and the pair sums S as sets of codes
+    in bitmasks.  Each swap (v, mask) pairs a power of two v with the bit
+    positions i where i & v == 0, so a translate {i xor p} of a mask is one
+    swap of bit blocks per set bit v of p.
+    """
 
-# -- q = 2, m = 4 bitmask engine ---------------------------------------------------
+    __slots__ = ("full", "empty", "swaps")
 
-
-def _magic_masks(n: int) -> list[int]:
-    """masks[j] selects the bit positions whose index has bit j clear."""
-    total = 1 << n
-    masks = []
-    for j in range(n):
-        v = 1 << j
-        block = (1 << v) - 1
-        mask = 0
-        for start in range(0, total, 2 * v):
-            mask |= block << start
-        masks.append(mask)
-    return masks
-
-
-def _xor_shift(mask: int, p: int, magic: list[int]) -> int:
-    """Transform the set-bitmask {i} into {i xor p}."""
-    j = 0
-    while p:
-        if p & 1:
+    def __init__(self, n: int):
+        self.full = (1 << (1 << n)) - 1
+        self.empty = (0, 0, 0)
+        self.swaps = []
+        for j in range(n):
             v = 1 << j
-            mask = ((mask & magic[j]) << v) | ((mask >> v) & magic[j])
-        p >>= 1
-        j += 1
-    return mask
+            mask, period = (1 << v) - 1, 2 * v
+            while period < 1 << n:
+                mask |= mask << period
+                period *= 2
+            self.swaps.append((v, mask))
+
+    def extend(self, state, code: int):
+        """code joins: block {code} and S xor code, add A xor code to S."""
+        blocked, a, s = state
+        a_shift, s_shift = a, s
+        for v, mask in self.swaps:
+            if code & v:
+                a_shift = (a_shift & mask) << v | (a_shift >> v) & mask
+                s_shift = (s_shift & mask) << v | (s_shift >> v) & mask
+        low = 1 << code
+        return blocked | low | s_shift, a | low, s | a_shift
 
 
-def _dfs_sidon(magic, full, codes, a_mask, s_mask, bad_mask, last, best, budget, cap, best_prune):
+def _kernel(field: Field, n: int, m: int):
+    """The blocked-set kernel for (q, m): pair sums for q = 2, m = 4, else flats."""
+    if field.q == 2 and m == 4:
+        return _PairSums(n)
+    return _Flats(field, n, m)
+
+
+def _dfs(kernel, state, codes, best, budget, cap):
     if not budget.tick():
         return
-    allowed = ~bad_mask & full & -(1 << (last + 1))
+    allowed = ~state[0] & kernel.full & -(1 << (codes[-1] + 1))
     remaining = allowed.bit_count()
+    extend = kernel.extend
     while allowed:
-        if best_prune and len(codes) + remaining <= best.size:
+        if len(codes) + remaining <= best.size:
             break
         low = allowed & -allowed
         p = low.bit_length() - 1
@@ -274,19 +271,7 @@ def _dfs_sidon(magic, full, codes, a_mask, s_mask, bad_mask, last, best, budget,
         best.offer(codes)
         if cap is not None and best.size >= cap:
             raise _CapReached
-        _dfs_sidon(
-            magic,
-            full,
-            codes,
-            a_mask | low,
-            s_mask | _xor_shift(a_mask, p, magic),
-            bad_mask | low | _xor_shift(s_mask, p, magic),
-            p,
-            best,
-            budget,
-            cap,
-            best_prune,
-        )
+        _dfs(kernel, extend(state, p), codes, best, budget, cap)
         codes.pop()
         if budget.exhausted:
             return
@@ -297,7 +282,7 @@ def _dfs_sidon(magic, full, codes, a_mask, s_mask, bad_mask, last, best, budget,
 # -- drivers -----------------------------------------------------------------------
 
 
-def _run_span(field, n, m, second_lo, second_hi, max_nodes, max_seconds, cap, best_prune):
+def _run_span(field, n, m, second_lo, second_hi, max_nodes, max_seconds, cap):
     """Explore all sets {0, s, ...} with second point s in [second_lo, second_hi).
 
     Returns (best_size, witness_codes, nodes, exhausted, cap_hit).
@@ -306,33 +291,19 @@ def _run_span(field, n, m, second_lo, second_hi, max_nodes, max_seconds, cap, be
     best = _Best()
     best.offer([0])
     cap_hit = False
-    use_sidon = field.q == 2 and m == 4
-    if use_sidon:
-        magic = _magic_masks(n)
-        full = (1 << (1 << n)) - 1
-    else:
-        flats = _Flats(field, n, m)
-        origin = (0,) * n
+    kernel = _kernel(field, n, m)
+    origin = kernel.extend(kernel.empty, 0)
     total = field.q**n
     try:
         for s in range(second_lo, second_hi):
             # sets with second point s live inside {0, s} + points above s
-            if best_prune and 2 + (total - s - 1) <= best.size:
+            if 2 + (total - s - 1) <= best.size:
                 break
             codes = [0, s]
             best.offer(codes)
             if cap is not None and best.size >= cap:
                 raise _CapReached
-            if use_sidon:
-                low = 1 << s
-                _dfs_sidon(
-                    magic, full, codes, 1 | low, low, 1 | low, s,
-                    best, budget, cap, best_prune,
-                )
-            else:
-                x = _decode(field.q, n, s)
-                blocked = flats.extend([origin], 1, x)
-                _dfs_flats(flats, codes, [origin, x], blocked, best, budget, cap, best_prune)
+            _dfs(kernel, kernel.extend(origin, s), codes, best, budget, cap)
             if budget.exhausted:
                 break
     except _CapReached:
@@ -371,8 +342,6 @@ def search_exact(
     max_nodes: int = DEFAULT_MAX_NODES,
     max_seconds: float = DEFAULT_MAX_SECONDS,
     workers: int = 1,
-    best_prune: bool = True,
-    cap_prune: bool = True,
 ) -> SearchCertificate:
     """Branch-and-bound maximum m-general set in F_q^n.
 
@@ -384,17 +353,17 @@ def search_exact(
     _check_m_range(m, n)
     total = _ambient_size(field, n)
     bound = refined_bound(n, field.q, m) if m >= 4 else None
-    cap = integer_cap(n, field.q, m) if (cap_prune and m >= 4) else None
+    cap = integer_cap(n, field.q, m) if m >= 4 else None
 
     if workers <= 1:
         size, witness, nodes, exhausted, cap_hit = _run_span(
-            field, n, m, 1, total, max_nodes, max_seconds, cap, best_prune
+            field, n, m, 1, total, max_nodes, max_seconds, cap
         )
     else:
         chunk = max(1, -(-(total - 1) // (workers * 4)))
         spans = [(s, min(s + chunk, total)) for s in range(1, total, chunk)]
         args = [
-            (field.p, field.d, field.modulus, n, m, lo, hi, max_nodes, max_seconds, cap, best_prune)
+            (field.p, field.d, field.modulus, n, m, lo, hi, max_nodes, max_seconds, cap)
             for lo, hi in spans
         ]
         size, witness, nodes, exhausted, cap_hit = 1, [0], 0, False, False
@@ -410,8 +379,7 @@ def search_exact(
     reductions = ["fix-origin", "canonical-order"]
     if cap is not None:
         reductions.append("refined-bound-cap")
-    if best_prune:
-        reductions.append("best-prune")
+    reductions.append("best-prune")
     return _make_certificate(
         field, n, m, size, witness, nodes, exact, bound, None, None, reductions
     )
@@ -424,8 +392,7 @@ def search_greedy(n: int, q, m: int, seed: int = 0, restarts: int = 1) -> Search
     field = _as_field(q)
     _check_m_range(m, n)
     total = _ambient_size(field, n)
-    use_sidon = field.q == 2 and m == 4
-    flats = None if use_sidon else _Flats(field, n, m)
+    kernel = _kernel(field, n, m)
     bound = refined_bound(n, field.q, m) if m >= 4 else None
     best_sz, best_wit = 0, []
     checks = 0
@@ -433,28 +400,14 @@ def search_greedy(n: int, q, m: int, seed: int = 0, restarts: int = 1) -> Search
         rng = random.Random(f"{seed}:{r}")
         order = list(range(total))
         rng.shuffle(order)
-        if use_sidon:
-            chosen: list[int] = []
-            sums = set()
-            for code in order:
-                checks += 1
-                new = {code ^ a for a in chosen}
-                if new & sums:
-                    continue
-                chosen.append(code)
-                sums |= new
-        else:
-            chosen = []
-            pts: list = []
-            blocked = 0
-            for code in order:
-                checks += 1
-                if blocked >> code & 1:
-                    continue
-                x = _decode(field.q, n, code)
-                blocked = flats.extend(pts, blocked, x)
-                chosen.append(code)
-                pts.append(x)
+        chosen = []
+        state = kernel.empty
+        for code in order:
+            checks += 1
+            if state[0] >> code & 1:
+                continue
+            state = kernel.extend(state, code)
+            chosen.append(code)
         wit = sorted(chosen)
         if len(wit) > best_sz or (len(wit) == best_sz and wit < best_wit):
             best_sz, best_wit = len(wit), wit
@@ -485,20 +438,13 @@ def certificate_to_json(cert: SearchCertificate) -> str:
 
 
 def write_certificate(path, cert: SearchCertificate) -> None:
-    text = certificate_to_json(cert)
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    with _path_or_stream(path, "w") as fh:
+        fh.write(certificate_to_json(cert))
 
 
 def read_certificate(path) -> SearchCertificate:
-    if hasattr(path, "read"):
-        text = path.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    with _path_or_stream(path) as fh:
+        text = fh.read()
     try:
         doc = json.loads(text)
         params = doc["params"]
@@ -553,6 +499,4 @@ def verify_certificate(cert) -> bool:
         return False
     if len(ps) >= cert.m and not is_m_general_arithmetic(ps, cert.m):
         return False
-    if cert.m >= 4 and cert.value > integer_cap(cert.n, field.q, cert.m):
-        return False
-    return True
+    return cert.m < 4 or within_cap(cert.value, cert.n, field.q, cert.m)

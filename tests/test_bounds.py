@@ -20,6 +20,7 @@ from mgeneral.bounds import (
     round_half_up,
     table1_grid,
     table2_rows,
+    within_cap,
 )
 from mgeneral.arithmetic import count_nonzero_sum_vectors
 from oracles import finite_difference
@@ -68,6 +69,20 @@ def test_integer_cap_is_the_largest_solution():
                 assert L * math.comb(cap, k) <= q**n < L * math.comb(cap + 1, k), (n, q, m)
                 r = refined_bound(n, q, m)
                 assert cap * (1 - 1e-12) <= r < (cap + 1) * (1 + 1e-12), (n, q, m)
+
+
+def test_within_cap_agrees_with_integer_cap():
+    # L C(cap, k) = q^n exactly at (3, 1, 4) and (2, 2, 6)
+    cells = [(2, 10, 4), (2, 84, 4), (4, 12, 6), (8, 5, 4), (3, 7, 4), (9, 6, 5), (5, 40, 8), (3, 1, 4), (2, 2, 6)]
+    shortcut_used = set()
+    for q, n, m in cells:
+        k = m // 2
+        L = 1 if q == 2 else count_nonzero_sum_vectors(q, k, gamma_is_zero=False)
+        cap = integer_cap(n, q, m)
+        for v in range(max(cap - 2, 0), cap + 3):
+            assert within_cap(v, n, q, m) == (v <= cap), (q, n, m, v)
+            shortcut_used.add((L * math.comb(v, k)).bit_length() <= n * (q.bit_length() - 1))
+    assert shortcut_used == {True, False}
 
 
 def test_integer_cap_where_the_float_floor_was_one_short():

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -163,6 +164,32 @@ def test_check_malformed_certificate(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
     assert "error" in err
+
+
+def test_check_absurd_n_is_fast(capsys, tmp_path):
+    # the cap test never raises q to the power n = 10^7 for an empty witness
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "format": 1, "params": {"n": 10**7, "q_spec": "3^2:10", "m": 4},
+        "value": 0, "exact": False, "witness": [], "nodes_explored": 0,
+    }))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check", str(path))
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert "certificate VALID" in out
+
+
+def test_output_to_stdout_or_file(capsys, tmp_path):
+    for argv in (["construct", "--n", "6"], ["search", "--n", "2", "--q", "3", "--m", "3"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "out.txt"
+        code, again, _ = run(capsys, *argv, "-o", str(path))
+        assert code == 0 and again == ""
+        assert path.read_text() == out
+        code, _, err = run(capsys, *argv, "-o", str(tmp_path / "missing" / "out.txt"))
+        assert code == 2 and "error" in err
 
 
 def test_byte_identical_reruns(capsys, tmp_path):

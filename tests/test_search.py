@@ -10,7 +10,7 @@ from mgeneral.field import make_field
 from mgeneral.search import (
     AmbientMismatchError,
     MalformedCertificateError,
-    _Flats,
+    _kernel,
     certificate_to_json,
     read_certificate,
     search_exact,
@@ -51,19 +51,6 @@ def test_matches_oracle_small(f2, f3, f4):
         assert cert.exact
         assert cert.value == val, (field.q, n, m)
         assert cert.witness == wit, (field.q, n, m)
-
-
-def test_pruning_toggles_do_not_change_value(f2, f3):
-    for field, n, m in [(f2, 3, 4), (f2, 4, 4), (f3, 2, 3), (f3, 2, 4)]:
-        base = search_exact(n, field, m)
-        for kwargs in (
-            {"best_prune": False},
-            {"cap_prune": False},
-            {"best_prune": False, "cap_prune": False},
-        ):
-            other = search_exact(n, field, m, **kwargs)
-            assert other.exact and other.value == base.value
-            assert other.witness == base.witness
 
 
 def test_limit_exhaustion_reports_inexact():
@@ -174,19 +161,20 @@ def _all_points(q, n):
     return [tuple(c // q ** (n - 1 - j) % q for j in range(n)) for c in range(q**n)]
 
 
-@pytest.mark.parametrize("p,d", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
 def test_flat_kernel_matches_rank_test(p, d):
     """After each point of a seeded m-general set joins, the kernel's allowed
-    points are exactly those the rank-based incremental test accepts."""
+    points are exactly those the incremental test accepts (its rank path, or
+    for q = 2, m = 4 the pair-XOR scan)."""
     field = make_field(p, d)
     q = field.q
     rng = random.Random(f"flats:{q}")
     for n in (2, 3):
         everything = _all_points(q, n)
         for m in range(3, n + 3):
-            flats = _Flats(field, n, m)
+            kernel = _kernel(field, n, m)
             limit = m + (1 if q**n > 100 else 3)
-            pts, blocked = [], 0
+            pts, state = [], kernel.empty
             for _ in range(50 * limit):
                 if len(pts) == limit:
                     break
@@ -194,10 +182,10 @@ def test_flat_kernel_matches_rank_test(p, d):
                 A = PointSet.of(field, n, pts)
                 if x in A or not add_point_preserves(A, x, m):
                     continue
-                blocked = flats.extend(pts, blocked, x)
+                state = kernel.extend(state, A.encode(x))
                 pts.append(x)
                 A = A.with_point(x)
-                allowed = ~blocked & flats.full
+                allowed = ~state[0] & kernel.full
                 want = {A.encode(y) for y in everything if y not in A and add_point_preserves(A, y, m)}
                 assert {c for c in range(q**n) if allowed >> c & 1} == want, (n, m, pts)
             assert len(pts) >= min(limit, m - 1), (n, m)
