@@ -153,14 +153,14 @@ def _sidon_ok_char2(codes: Sequence[int], n: int) -> bool:
     return True
 
 
-def is_m_general(A: PointSet, m: int, fast_path: bool = True) -> bool:
+def is_m_general(A: PointSet, m: int) -> bool:
     """True iff every subset of size min(m, |A|) is affinely independent.
 
     For |A| >= m this is exactly the no-m-points-on-an-(m-2)-flat condition;
     affine independence is hereditary, so the single subset size suffices.
     """
     _check_m_range(m, A.n)
-    if fast_path and A.field.q == 2 and m == 4:
+    if A.field.q == 2 and m == 4:
         return _sidon_ok_char2([A.encode(p) for p in A.points], A.n)
     s = min(m, len(A))
     if s <= 2:

@@ -12,21 +12,22 @@ distinct points (a single nonzero entry cannot sum to zero; two nonzero
 entries force equality of two distinct points), so only supports of size
 >= 3 matter.
 
-`is_m_general_arithmetic`, `is_weak_bk` and `verify_ksum_injectivity` are
-one loop: hash weighted subset sums and stop at the first repeat.  The
-oracle splits each relation in half (the k-sum injectivity lemma), so it
-costs Theta(N^ceil(m/2) (q-1)^ceil(m/2)) hash operations on N points
-rather than the Theta(N^m) of enumerating every subset; that enumerative
-form is kept as the small-N reference `m_general_by_forms` in
-`tests/oracles.py`.  For q = 2, m = 4 the oracle is a pair-XOR collision
-scan, as is the geometric fast path in `affine`, in separate code; the
-rank-based cross-check for that case is `tests/oracles.py`.
+`is_m_general_arithmetic`, `is_weak_bk`, `is_bk` and
+`verify_ksum_injectivity` are one loop: hash weighted subset sums and stop
+at the first repeat.  The oracle splits each relation in half (the k-sum
+injectivity lemma), so it costs Theta(N^ceil(m/2) (q-1)^ceil(m/2)) hash
+operations on N points rather than the Theta(N^m) of enumerating every
+subset; that enumerative form is kept as the small-N reference
+`m_general_by_forms` in `tests/oracles.py`.  For q = 2, m = 4 the oracle
+is a pair-XOR collision scan, as is the geometric fast path in `affine`,
+in separate code; the rank-based cross-check for that case is
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, combinations_with_replacement, permutations, product, repeat
+from itertools import chain, combinations, permutations, product, repeat
 from operator import add, xor
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -118,37 +119,32 @@ def apply_form(c: CoeffVector, xs: Sequence[Sequence[int]]) -> tuple:
     return _combo(c.field, c.coeffs, pts)
 
 
+def _completions(field: Field, entries: Iterable[int], length: int, target: int) -> Iterator[tuple]:
+    """Every prefix of length - 1 entries, in product order, completed by
+    the last entry that makes the sum target."""
+    for prefix in product(entries, repeat=length - 1):
+        total = 0
+        for c in prefix:
+            total = field.add(total, c)
+        yield prefix + (field.sub(target, total),)
+
+
 def sum_zero_vectors(field: Field, t: int) -> Iterator[CoeffVector]:
     """All length-t vectors summing to 0, not identically 0; q^(t-1) - 1 of them."""
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
-    for prefix in product(field.elements(), repeat=t - 1):
-        total = 0
-        for c in prefix:
-            total = field.add(total, c)
-        last = field.neg(total)
-        if last == 0 and not any(prefix):
-            continue
-        yield CoeffVector(field, prefix + (last,), KIND_SUM_ZERO)
+    for coeffs in _completions(field, field.elements(), t, 0):
+        if any(coeffs):
+            yield CoeffVector(field, coeffs, KIND_SUM_ZERO)
 
 
 def nonzero_sum_vectors(field: Field, k: int, gamma: int) -> Iterator[CoeffVector]:
     """All length-k vectors with every entry nonzero summing to gamma."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if k == 1:
-        if gamma != 0:
-            yield CoeffVector(field, (gamma,), KIND_NONZERO_SUM, gamma)
-        return
-    nonzero = range(1, field.q)
-    for prefix in product(nonzero, repeat=k - 1):
-        total = 0
-        for c in prefix:
-            total = field.add(total, c)
-        last = field.sub(gamma, total)
-        if last == 0:
-            continue
-        yield CoeffVector(field, prefix + (last,), KIND_NONZERO_SUM, gamma)
+    for coeffs in _completions(field, range(1, field.q), k, gamma):
+        if coeffs[-1]:
+            yield CoeffVector(field, coeffs, KIND_NONZERO_SUM, gamma)
 
 
 def count_nonzero_sum_vectors(q: int, k: int, gamma_is_zero: bool) -> int:
@@ -203,8 +199,8 @@ def _weighted_sums(A: PointSet) -> Callable[[Sequence[tuple]], Iterator]:
     odd p the tuple of F_p digits, added digitwise.
 
     The returned sums(vectors) yields sum_t c_t (1, x_{i_t}) for every c in
-    vectors, all of one length j, and every j-subset x_{i_1} < ... < x_{i_j}
-    of A.
+    vectors, of any length j (the empty c gives 0 once), and every j-subset
+    x_{i_1} < ... < x_{i_j} of A.
     """
     field = A.field
     if field.p == 2:
@@ -230,6 +226,8 @@ def _weighted_sums(A: PointSet) -> Callable[[Sequence[tuple]], Iterator]:
 
     def extend(acc, rs: list[list], start: int) -> Iterator:
         # acc plus every sum rs[0][i_1] + ... + rs[-1][i_r], start <= i_1 < ... < i_r
+        if not rs:
+            return iter((acc,))
         if len(rs) == 1:
             return map(plus, repeat(acc), rs[0][start:])
         stop = len(rs[0]) - len(rs) + 1
@@ -295,37 +293,30 @@ def is_weak_bk(A: PointSet, k: int) -> bool:
     return not _collides(_weighted_sums(A)([(1,) * k]))
 
 
-def _subset_sum(field: Field, pts: Sequence[tuple], n: int) -> tuple:
-    out = [0] * n
-    for p in pts:
-        for i in range(n):
-            out[i] = field.add(out[i], p[i])
-    return tuple(out)
-
-
 def is_bk(A: PointSet, k: int) -> bool:
     """True iff all k-multisets of A have distinct sums up to permutation.
 
     In characteristic 2 a doubled element cancels, so multisets reducing to
     the same odd-multiplicity support are deemed trivially equal-sum (the
-    a + a = b + b convention for Sidon sets in even characteristic).
+    a + a = b + b convention for Sidon sets in even characteristic): the
+    sums compared are those of the subsets of sizes k, k-2, ..., 0 or 1.  In
+    odd characteristic a multiset is a subset x_{i_1} < ... < x_{i_j} with
+    multiplicities c, a composition of k, taken mod p as coefficients.
+    Either way each multiset class is enumerated once, so a repeated sum
+    is a collision.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    field = A.field
-    char2 = field.p == 2
-    seen: dict[tuple, tuple] = {}
-    for ms in combinations_with_replacement(A.points, k):
-        if char2:
-            key_src = tuple(p for p in set(ms) if ms.count(p) % 2 == 1)
-            key = tuple(sorted(key_src))
-        else:
-            key = ms
-        s = _subset_sum(field, ms, A.n)
-        if s in seen and seen[s] != key:
-            return False
-        seen[s] = key
-    return True
+    p = A.field.p
+    if p == 2:
+        vectors = [(1,) * j for j in range(k, -1, -2)]
+    else:
+        vectors = [
+            tuple((b - a) % p for a, b in zip(cuts, cuts[1:]))
+            for j in range(1, k + 1)
+            for cuts in ((0, *inner, k) for inner in combinations(range(1, k), j - 1))
+        ]
+    return not _collides(_weighted_sums(A)(vectors))
 
 
 def verify_ksum_injectivity(A: PointSet, k: int, gamma: int) -> bool:

@@ -35,8 +35,6 @@ from .field import (
     reload_modulus_tables,
 )
 from .search import (
-    AmbientMismatchError,
-    MalformedCertificateError,
     read_certificate,
     search_exact,
     search_greedy,
@@ -239,9 +237,6 @@ def main(argv=None) -> int:
         reload_modulus_tables()
     try:
         return args.func(args)
-    except (MalformedCertificateError, AmbientMismatchError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

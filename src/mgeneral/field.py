@@ -36,13 +36,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _poly_eval(coeffs, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def _poly_rem(num, den, p: int) -> list[int]:
     """Remainder of num mod den, coefficient lists low-to-high."""
     num = list(num)
@@ -60,15 +53,12 @@ def _poly_rem(num, den, p: int) -> list[int]:
 
 
 def is_irreducible(coeffs, p: int) -> bool:
-    """Exhaustive root/factor check, adequate for the supported q <= 2^16."""
+    """Exhaustive check for monic factors of degree 1..d/2 (degree 1 is the
+    root test), adequate for the supported q <= 2^16."""
     d = len(coeffs) - 1
     if d < 1 or coeffs[-1] % p == 0:
         return False
-    if d == 1:
-        return True
-    if any(_poly_eval(coeffs, x, p) == 0 for x in range(p)):
-        return False
-    for e in range(2, d // 2 + 1):
+    for e in range(1, d // 2 + 1):
         for v in range(p**e):
             den, t = [], v
             for _ in range(e):
@@ -240,16 +230,7 @@ class Field:
         return acc
 
     def neg(self, a: int) -> int:
-        if self.d == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        p, acc, mul, x = self.p, 0, 1, a
-        for _ in range(self.d):
-            acc += ((-x) % p) * mul
-            x //= p
-            mul *= p
-        return acc
+        return self.sub(0, a)
 
     def sub(self, a: int, b: int) -> int:
         if self.d == 1:

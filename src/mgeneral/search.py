@@ -33,6 +33,11 @@ Pruning, both rules always on:
   max{x : L C(x, k) <= q^n}, no larger set can exist and the search stops,
   still exact.
 
+Budgets: `search_exact` splits the second points into spans (one, or
+4 * workers in a process pool), each searched with one `_Run` record.  One
+deadline on the system-wide monotonic clock bounds the whole run;
+`max_nodes` applies to each span.
+
 Certificates are JSON files carrying the witness and enough provenance to
 re-verify from scratch; `verify_certificate` re-runs both the geometric and
 arithmetic oracles on the witness and re-checks the counting bound.
@@ -48,7 +53,7 @@ from dataclasses import dataclass
 from operator import getitem, mul
 
 from . import __version__
-from .affine import PointSet, _check_m_range, _path_or_stream
+from .affine import PointSet, _check_m_range, _path_or_stream, is_m_general
 from .arithmetic import is_m_general_arithmetic
 from .bounds import integer_cap, refined_bound, within_cap
 from .field import Field, field_for_order, field_from_q_spec, make_field
@@ -118,16 +123,19 @@ def _decode(q: int, n: int, code: int) -> tuple[int, ...]:
     return tuple(reversed(coords))
 
 
-class _Budget:
-    """Node/time budget shared by one search run."""
+class _Run:
+    """One span's run: node and time budget, best set found and the cap."""
 
-    __slots__ = ("nodes", "max_nodes", "deadline", "exhausted")
+    __slots__ = ("nodes", "max_nodes", "deadline", "exhausted", "cap", "size", "witness")
 
-    def __init__(self, max_nodes: int, max_seconds: float):
+    def __init__(self, max_nodes: int, deadline: float, cap: int | None):
         self.nodes = 0
         self.max_nodes = max_nodes
-        self.deadline = time.monotonic() + max_seconds
+        self.deadline = deadline
         self.exhausted = False
+        self.cap = cap
+        self.size = 0
+        self.witness: list[int] = []
 
     def tick(self) -> bool:
         """Count a node; True while within budget."""
@@ -138,18 +146,13 @@ class _Budget:
             self.exhausted = True
         return not self.exhausted
 
-
-class _Best:
-    __slots__ = ("size", "witness")
-
-    def __init__(self):
-        self.size = 0
-        self.witness: list[int] = []
-
     def offer(self, codes: list[int]) -> None:
+        """Keep codes if larger than the best; stop the run at the cap."""
         if len(codes) > self.size:
             self.size = len(codes)
             self.witness = list(codes)
+            if self.cap is not None and self.size >= self.cap:
+                raise _CapReached
 
 
 class _CapReached(Exception):
@@ -256,24 +259,22 @@ def _kernel(field: Field, n: int, m: int):
     return _Flats(field, n, m)
 
 
-def _dfs(kernel, state, codes, best, budget, cap):
-    if not budget.tick():
+def _dfs(kernel, state, codes, run):
+    if not run.tick():
         return
     allowed = ~state[0] & kernel.full & -(1 << (codes[-1] + 1))
     remaining = allowed.bit_count()
     extend = kernel.extend
     while allowed:
-        if len(codes) + remaining <= best.size:
+        if len(codes) + remaining <= run.size:
             break
         low = allowed & -allowed
         p = low.bit_length() - 1
         codes.append(p)
-        best.offer(codes)
-        if cap is not None and best.size >= cap:
-            raise _CapReached
-        _dfs(kernel, extend(state, p), codes, best, budget, cap)
+        run.offer(codes)
+        _dfs(kernel, extend(state, p), codes, run)
         codes.pop()
-        if budget.exhausted:
+        if run.exhausted:
             return
         allowed ^= low
         remaining -= 1
@@ -282,33 +283,29 @@ def _dfs(kernel, state, codes, best, budget, cap):
 # -- drivers -----------------------------------------------------------------------
 
 
-def _run_span(field, n, m, second_lo, second_hi, max_nodes, max_seconds, cap):
+def _run_span(field, n, m, second_lo, second_hi, max_nodes, deadline, cap):
     """Explore all sets {0, s, ...} with second point s in [second_lo, second_hi).
 
-    Returns (best_size, witness_codes, nodes, exhausted, cap_hit).
+    Returns (best_size, witness_codes, nodes, exhausted).
     """
-    budget = _Budget(max_nodes, max_seconds)
-    best = _Best()
-    best.offer([0])
-    cap_hit = False
+    run = _Run(max_nodes, deadline, cap)
     kernel = _kernel(field, n, m)
     origin = kernel.extend(kernel.empty, 0)
     total = field.q**n
     try:
+        run.offer([0])
         for s in range(second_lo, second_hi):
             # sets with second point s live inside {0, s} + points above s
-            if 2 + (total - s - 1) <= best.size:
+            if 2 + (total - s - 1) <= run.size:
                 break
             codes = [0, s]
-            best.offer(codes)
-            if cap is not None and best.size >= cap:
-                raise _CapReached
-            _dfs(kernel, kernel.extend(origin, s), codes, best, budget, cap)
-            if budget.exhausted:
+            run.offer(codes)
+            _dfs(kernel, kernel.extend(origin, s), codes, run)
+            if run.exhausted:
                 break
     except _CapReached:
-        cap_hit = True
-    return best.size, best.witness, budget.nodes, budget.exhausted, cap_hit
+        pass
+    return run.size, run.witness, run.nodes, run.exhausted
 
 
 def _run_span_args(args):
@@ -347,7 +344,8 @@ def search_exact(
 
     exact=True in the result means the value is the true maximum; on
     exhausted limits the certificate carries the best witness found so far
-    with exact=False.
+    with exact=False.  max_seconds bounds the whole run, max_nodes each of
+    the 4 * workers spans when workers > 1.
     """
     field = _as_field(q)
     _check_m_range(m, n)
@@ -355,25 +353,22 @@ def search_exact(
     bound = refined_bound(n, field.q, m) if m >= 4 else None
     cap = integer_cap(n, field.q, m) if m >= 4 else None
 
+    deadline = time.monotonic() + max_seconds
+    chunk = total - 1 if workers <= 1 else max(1, -(-(total - 1) // (workers * 4)))
+    spans = [
+        (n, m, lo, min(lo + chunk, total), max_nodes, deadline, cap)
+        for lo in range(1, total, chunk)
+    ]
     if workers <= 1:
-        size, witness, nodes, exhausted, cap_hit = _run_span(
-            field, n, m, 1, total, max_nodes, max_seconds, cap
-        )
+        results = [_run_span(field, *span) for span in spans]
     else:
-        chunk = max(1, -(-(total - 1) // (workers * 4)))
-        spans = [(s, min(s + chunk, total)) for s in range(1, total, chunk)]
-        args = [
-            (field.p, field.d, field.modulus, n, m, lo, hi, max_nodes, max_seconds, cap)
-            for lo, hi in spans
-        ]
-        size, witness, nodes, exhausted, cap_hit = 1, [0], 0, False, False
+        # ship (p, d, modulus): pickling a Field fills its __dict__ and slows its later calls
+        args = [(field.p, field.d, field.modulus, *span) for span in spans]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for r_size, r_wit, r_nodes, r_exh, r_cap in pool.map(_run_span_args, args):
-                nodes += r_nodes
-                exhausted = exhausted or r_exh
-                cap_hit = cap_hit or r_cap
-                if r_size > size:
-                    size, witness = r_size, r_wit
+            results = list(pool.map(_run_span_args, args))
+    size, witness, _, _ = max(results, key=lambda r: r[0])  # the first span of the best size
+    nodes = sum(r[2] for r in results)
+    exhausted = any(r[3] for r in results)
 
     exact = (not exhausted) or (cap is not None and size >= cap)
     reductions = ["fix-origin", "canonical-order"]
@@ -465,8 +460,6 @@ def read_certificate(path) -> SearchCertificate:
             reductions=tuple(doc.get("reductions", ())),
             toolchain=dict(doc.get("toolchain", {})),
         )
-    except MalformedCertificateError:
-        raise
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
         raise MalformedCertificateError(f"malformed certificate: {e}") from None
     return cert
@@ -493,8 +486,6 @@ def verify_certificate(cert) -> bool:
         return False  # duplicate witness points
     if cert.value != len(ps):
         return False
-    from .affine import is_m_general
-
     if not is_m_general(ps, cert.m):
         return False
     if len(ps) >= cert.m and not is_m_general_arithmetic(ps, cert.m):

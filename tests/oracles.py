@@ -130,6 +130,29 @@ def m_general_by_forms(field, pts, m: int) -> bool:
     return True
 
 
+def bk_by_multisets(field, pts, k: int) -> bool:
+    """B_k by enumeration: every k-multiset of pts summed coordinatewise,
+    False at the first two multisets with equal sums that are not the same
+    multiset (in characteristic 2: the same odd-multiplicity support).  The
+    reference for the package's collision-loop `is_bk`."""
+    n = len(pts[0]) if pts else 0
+    seen: dict[tuple, tuple] = {}
+    for ms in combinations_with_replacement(pts, k):
+        if field.p == 2:
+            key = tuple(sorted(p for p in set(ms) if ms.count(p) % 2 == 1))
+        else:
+            key = ms
+        out = [0] * n
+        for p in ms:
+            for i in range(n):
+                out[i] = field.add(out[i], p[i])
+        s = tuple(out)
+        if s in seen and seen[s] != key:
+            return False
+        seen[s] = key
+    return True
+
+
 def sidon_oracle_q2(codes) -> bool:
     """Distinct pair XORs over distinct elements, plain set version."""
     seen = set()

@@ -157,15 +157,13 @@ def test_fast_path_matches_generic_q2_m4(f2):
     for r in range(len(space3) + 1):
         for sub in combinations(space3, r):
             ps = PointSet.of(f2, 3, sub)
-            assert is_m_general(ps, 4, fast_path=True) == is_m_general(
-                ps, 4, fast_path=False
-            )
+            assert is_m_general(ps, 4) == m_general_oracle(f2, ps.points, 4)
     rng = random.Random(31)
     space4 = list(product(range(2), repeat=4))
     for _ in range(60):
         pts = rng.sample(space4, rng.randint(1, 9))
         ps = PointSet.of(f2, 4, pts)
-        assert is_m_general(ps, 4, fast_path=True) == is_m_general(ps, 4, fast_path=False)
+        assert is_m_general(ps, 4) == m_general_oracle(f2, ps.points, 4)
     # few points in a large ambient: the pair XORs go to a set, not a bitmap
     space8 = list(product(range(2), repeat=8))
     verdicts = set()
@@ -174,8 +172,8 @@ def test_fast_path_matches_generic_q2_m4(f2):
         if i % 2:  # a + b + c + d = 0: four points on a plane
             pts[3] = tuple(a ^ b ^ c for a, b, c in zip(*pts[:3]))
         ps = PointSet.of(f2, 8, pts)
-        verdict = is_m_general(ps, 4, fast_path=True)
-        assert verdict == is_m_general(ps, 4, fast_path=False)
+        verdict = is_m_general(ps, 4)
+        assert verdict == m_general_oracle(f2, ps.points, 4)
         verdicts.add(verdict)
     assert verdicts == {True, False}
 

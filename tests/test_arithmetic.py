@@ -16,8 +16,8 @@ from mgeneral.arithmetic import (
     verify_ksum_injectivity,
     weakly_avoids,
 )
-from mgeneral.field import make_field
-from oracles import m_general_by_forms, m_general_oracle
+from mgeneral.field import field_for_order, make_field
+from oracles import bk_by_multisets, m_general_by_forms, m_general_oracle
 
 
 def test_coeff_vector_validation(f3, f5):
@@ -71,6 +71,26 @@ def test_nonzero_sum_vectors_counts(f3, f5):
             assert count_nonzero_sum_vectors(q, k, False) == sum(
                 1 for _ in nonzero_sum_vectors(f, k, 1)
             )
+
+
+def test_coefficient_families_match_product_filter():
+    # same vectors in the same order as filtering every length-k tuple
+    for q in (2, 3, 4, 5, 9):
+        f = field_for_order(q)
+
+        def total(cs):
+            acc = 0
+            for c in cs:
+                acc = f.add(acc, c)
+            return acc
+
+        for k in (1, 2, 3):
+            for gamma in f.elements():
+                want = [c for c in product(range(1, q), repeat=k) if total(c) == gamma]
+                assert [c.coeffs for c in nonzero_sum_vectors(f, k, gamma)] == want
+            if k >= 2:
+                want = [c for c in product(range(q), repeat=k) if any(c) and total(c) == 0]
+                assert [c.coeffs for c in sum_zero_vectors(f, k)] == want
 
 
 def test_cgamma_lower_bound():
@@ -148,6 +168,23 @@ def test_bk_char2_trivial_doubles(f2):
     B = PointSet.of(f2, 3, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)])
     assert not is_bk(B, 2)
     assert not is_weak_bk(B, 2)
+
+
+def test_bk_matches_multiset_reference():
+    rng = random.Random(2024)
+    verdicts = []
+    for p, d in ((2, 1), (2, 2), (2, 3), (3, 1), (5, 1), (3, 2)):
+        field = make_field(p, d)
+        n = 3 if field.q == 2 else 2
+        space = list(product(range(field.q), repeat=n))
+        for k in range(1, 6):
+            for size in range(8):
+                pts = rng.sample(space, size)
+                A = PointSet.of(field, n, pts)
+                verdict = is_bk(A, k)
+                assert verdict == bk_by_multisets(field, A.points, k), (field.q, k, pts)
+                verdicts.append(verdict)
+    assert len(verdicts) == 240 and 0 < verdicts.count(False) < 240
 
 
 def test_mgeneral_implies_weak_bk(f2, f3, f4, f5):

@@ -13,7 +13,7 @@ from mgeneral.constructions import (
     sidon_graph,
 )
 from mgeneral.field import make_field
-from oracles import sidon_oracle_q2
+from oracles import m_general_oracle, sidon_oracle_q2
 
 
 def test_function_table_validation(f4):
@@ -79,7 +79,7 @@ def test_sidon_graph_d1_and_d3():
     g3 = sidon_graph(cube_function(make_field(2, 3)))
     assert len(g3) == 8 and g3.n == 6
     assert is_m_general(g3, 4)
-    assert is_m_general(g3, 4, fast_path=False)
+    assert m_general_oracle(g3.field, g3.points, 4)
 
 
 def test_sidon_graph_rejects_non_apn(f8):

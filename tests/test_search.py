@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import time
 
 import pytest
 
@@ -57,6 +58,15 @@ def test_limit_exhaustion_reports_inexact():
     cert = search_exact(4, 3, 3, max_nodes=50)
     assert not cert.exact
     assert cert.value >= 2
+    assert verify_certificate(cert)
+
+
+def test_deadline_bounds_whole_run_with_workers():
+    # max_seconds is one deadline for every span, not a clock per span
+    start = time.monotonic()
+    cert = search_exact(4, 3, 3, workers=2, max_seconds=1.0)
+    assert not cert.exact
+    assert time.monotonic() - start < 2.5
     assert verify_certificate(cert)
 
 
