@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .field import Field, field_from_q_spec
@@ -118,39 +118,83 @@ def is_affinely_independent(ps: PointSet) -> bool:
     return affine_rank(ps) == len(ps) - 1
 
 
-def _independent(field: Field, pts: Sequence[Point]) -> bool:
-    return _rank_of_points(field, pts) == len(pts) - 1
-
-
 def _check_m_range(m: int, n: int) -> None:
     if not 3 <= m <= n + 2:
         raise ValueError(f"m out of range: need 3 <= m <= n+2, got m={m}, n={n}")
 
 
+# About this many pair sums go to one set in `_sidon_ok_char2`.
+_BUCKET_PAIRS = 1 << 14
+
+
 def _sidon_ok_char2(codes: Sequence[int], n: int) -> bool:
     """q=2, m=4 fast path: no two distinct pairs share an XOR (pairwise sum).
 
-    The XORs seen so far live in a bitmap over F_2^n (2^n bits) unless 2^n
-    exceeds 8 N^2 for N points, when a set of at most N^2/2 of them is smaller.
+    More pairs than the 2^n - 1 nonzero sums always collide.  Otherwise the
+    sums are bucketed by their high n - s bits, (a ^ b) >> s being
+    (a >> s) ^ (b >> s): codes are grouped by c >> s, bucket h holds the
+    pairs between groups t and t ^ h, and sums in different buckets differ.
+    Each bucket's low s bits go through one list into one set, so a set
+    holds at most min(2^s, the bucket's pairs) values; s leaves about
+    _BUCKET_PAIRS pairs per bucket.
     """
-    if 1 << n > 8 * len(codes) ** 2:
-        seen = set()
-        for i, a in enumerate(codes):
-            for b in codes[i + 1 :]:
-                s = a ^ b
-                if s in seen:
-                    return False
-                seen.add(s)
-        return True
-    bits = bytearray((1 << n) + 7 >> 3)
-    for i, a in enumerate(codes):
-        for b in codes[i + 1 :]:
-            s = a ^ b
-            byte, bit = s >> 3, 1 << (s & 7)
-            if bits[byte] & bit:
-                return False
-            bits[byte] |= bit
+    pairs = len(codes) * (len(codes) - 1) // 2
+    if pairs > (1 << n) - 1:
+        return False
+    s = n - (pairs // _BUCKET_PAIRS).bit_length()
+    low = (1 << s) - 1
+    groups: dict[int, list[int]] = {}
+    for c in codes:
+        groups.setdefault(c >> s, []).append(c & low)
+    for h in range(1 << (n - s)):
+        if h:
+            sums = [x ^ y for t, g in groups.items() if (u := t ^ h) > t and u in groups
+                    for x in g for y in groups[u]]
+        else:
+            sums = [x ^ y for g in groups.values() for i, x in enumerate(g, 1) for y in g[i:]]
+        if len(set(sums)) < len(sums):
+            return False
     return True
+
+
+def _all_independent(field: Field, base: Point, others: Sequence[Point], size: int) -> bool:
+    """Is base with each (size-1)-subset of others affinely independent?
+
+    Gaussian elimination run depth first over the subsets in lexicographic
+    order.  A node holds every later point's difference from base reduced
+    modulo the span of the chosen differences, one row operation per child
+    (pivot: the first nonzero column); a zero residual is a dependent subset.
+    The residuals have zeros in every chosen pivot column, which makes each
+    the unique such representative of its coset, so at the last level two
+    picks are dependent exactly when their residuals are parallel: that level
+    compares the residuals scaled to a leading 1 as one set.  Needs size >= 3.
+    """
+    sub, mul, inv = field.sub, field.mul, field.inv
+
+    def leading_one(row):
+        for col, c in enumerate(row):
+            if c:
+                return col, tuple(map(mul, repeat(inv(c)), row))
+        return None
+
+    def extend(rows, need):
+        if need == 2:
+            lines = set(map(leading_one, rows))
+            return None not in lines and len(lines) == len(rows)
+        for j in range(len(rows) - need + 1):
+            lead = leading_one(rows[j])
+            if lead is None:
+                return False
+            col, pivot = lead
+            later = [
+                tuple(map(sub, r, map(mul, repeat(r[col]), pivot))) if r[col] else r
+                for r in rows[j + 1 :]
+            ]
+            if not extend(later, need - 1):
+                return False
+        return True
+
+    return extend([tuple(map(sub, p, base)) for p in others], size - 1)
 
 
 def is_m_general(A: PointSet, m: int) -> bool:
@@ -165,11 +209,11 @@ def is_m_general(A: PointSet, m: int) -> bool:
     s = min(m, len(A))
     if s <= 2:
         return True
-    field = A.field
-    for subset in combinations(A.points, s):
-        if not _independent(field, subset):
-            return False
-    return True
+    pts = A.points
+    return all(
+        _all_independent(A.field, p, pts[i + 1 :], s)
+        for i, p in enumerate(pts[: len(pts) - s + 1])
+    )
 
 
 def add_point_preserves(A: PointSet, p: Sequence[int], m: int) -> bool:
@@ -180,16 +224,10 @@ def add_point_preserves(A: PointSet, p: Sequence[int], m: int) -> bool:
     p = tuple(int(c) for c in p)
     if p in A:
         raise ValueError(f"point already in set: {p}")
-    field = A.field
-    if field.q == 2 and m == 4:
+    if A.field.q == 2 and m == 4:
         return _sidon_ok_char2([A.encode(x) for x in A.points] + [A.encode(p)], A.n)
     s = min(m, len(A) + 1)
-    if s <= 2:
-        return True
-    for rest in combinations(A.points, s - 1):
-        if not _independent(field, rest + (p,)):
-            return False
-    return True
+    return s <= 2 or _all_independent(A.field, p, A.points, s)
 
 
 # -- set files ----------------------------------------------------------------

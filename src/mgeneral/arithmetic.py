@@ -18,10 +18,12 @@ at the first repeat.  The oracle splits each relation in half (the k-sum
 injectivity lemma), so it costs Theta(N^ceil(m/2) (q-1)^ceil(m/2)) hash
 operations on N points rather than the Theta(N^m) of enumerating every
 subset; that enumerative form is kept as the small-N reference
-`m_general_by_forms` in `tests/oracles.py`.  For q = 2, m = 4 the oracle
-is a pair-XOR collision scan, as is the geometric fast path in `affine`,
-in separate code; the rank-based cross-check for that case is
-`tests/oracles.py`.
+`m_general_by_forms` in `tests/oracles.py`.  The geometric oracle in
+`affine` shares no code with this module: it runs Gaussian elimination
+depth first over the subsets, Theta(N^(m-1)) row operations.  For q = 2,
+m = 4 this oracle is a pair-XOR collision scan, and the geometric one a
+separate pair-sum scan bucketed by high bits; the rank-based cross-check
+for that case is `tests/oracles.py`.
 """
 
 from __future__ import annotations

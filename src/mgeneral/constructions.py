@@ -9,6 +9,8 @@ coordinate.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 
 from .affine import PointSet, is_m_general
@@ -51,18 +53,34 @@ class ApnReport:
 def is_apn(f: FunctionTable) -> ApnReport:
     """Check f(x+a) - f(x) = b has at most 2 solutions x for every a != 0, b.
 
-    Restricted to characteristic 2, where the bound 2 is best possible.
+    Restricted to characteristic 2, where the bound 2 is best possible.  The
+    table is packed into one integer, one byte per entry for q <= 2^8 and two
+    up to MAX_ORDER.  The nonzero a run in Gray-code order, so each translate
+    x -> f(x + a) is the previous one with the entry blocks of one bit of a
+    swapped, and row a of the difference table is the bytes of
+    translate ^ table.  Its entries come in equal pairs (x and x + a), so a
+    row with q/2 distinct values has every count 2; only other rows are
+    counted.
     """
     F = f.field
     if F.p != 2:
         raise ValueError("APN check requires characteristic 2")
-    q, vals = F.q, f.values
-    worst = 0
-    for a in range(1, q):
-        counts = [0] * q
-        for x in range(q):
-            counts[vals[x ^ a] ^ vals[x]] += 1
-        top = max(counts)
+    q = F.q
+    fmt = "B" if q <= 1 << 8 else "H"
+    width = 8 * array(fmt).itemsize
+    size = q * width // 8
+    table = int.from_bytes(array(fmt, f.values).tobytes(), "little")
+    swaps = []  # for bit v of a: shift, and the entries x with x & v == 0
+    for j in range(F.d):
+        shift = width << j
+        repunit = ((1 << q * width) - 1) // ((1 << 2 * shift) - 1)
+        swaps.append((shift, ((1 << shift) - 1) * repunit))
+    worst, translate = 0, table
+    for i in range(1, q):
+        shift, mask = swaps[(i & -i).bit_length() - 1]
+        translate = (translate & mask) << shift | (translate >> shift) & mask
+        row = memoryview((translate ^ table).to_bytes(size, "little")).cast(fmt)
+        top = 2 if len(set(row)) == q // 2 else max(Counter(row).values())
         if top > worst:
             worst = top
     return ApnReport(worst <= 2, worst)

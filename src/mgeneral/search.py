@@ -142,7 +142,7 @@ class _Run:
         self.nodes += 1
         if self.nodes > self.max_nodes:
             self.exhausted = True
-        elif self.nodes % 1024 == 0 and time.monotonic() > self.deadline:
+        elif self.nodes % 1024 == 1 and time.monotonic() > self.deadline:
             self.exhausted = True
         return not self.exhausted
 

@@ -165,6 +165,19 @@ def sidon_oracle_q2(codes) -> bool:
     return True
 
 
+def apn_by_counting(f):
+    """(is APN, max solution count) of f(x + a) + f(x) = b over a != 0 and
+    b, counting every x for every a."""
+    q, vals = f.field.q, f.values
+    worst = 0
+    for a in range(1, q):
+        counts = [0] * q
+        for x in range(q):
+            counts[vals[x ^ a] ^ vals[x]] += 1
+        worst = max(worst, max(counts))
+    return worst <= 2, worst
+
+
 def brute_force_max(field, n: int, m: int, node_budget: int = 10_000_000,
                     time_budget: float | None = None):
     """Unpruned DFS over every m-general subset: no origin fixing, no best

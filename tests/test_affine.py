@@ -5,7 +5,9 @@ from itertools import combinations, product
 import pytest
 
 from mgeneral.affine import (
+    _BUCKET_PAIRS,
     PointSet,
+    _sidon_ok_char2,
     add_point_preserves,
     affine_rank,
     is_affinely_independent,
@@ -13,8 +15,9 @@ from mgeneral.affine import (
     read_point_set,
     write_point_set,
 )
+from mgeneral.constructions import lower_bound_4general
 from mgeneral.field import make_field
-from oracles import dependent_by_enumeration, m_general_oracle, rank_oracle
+from oracles import dependent_by_enumeration, m_general_oracle, rank_oracle, sidon_oracle_q2
 
 
 def test_point_set_canonical_and_dedup(f3):
@@ -164,7 +167,7 @@ def test_fast_path_matches_generic_q2_m4(f2):
         pts = rng.sample(space4, rng.randint(1, 9))
         ps = PointSet.of(f2, 4, pts)
         assert is_m_general(ps, 4) == m_general_oracle(f2, ps.points, 4)
-    # few points in a large ambient: the pair XORs go to a set, not a bitmap
+    # few points in a large ambient: one bucket holds every pair sum
     space8 = list(product(range(2), repeat=8))
     verdicts = set()
     for i in range(60):
@@ -176,6 +179,119 @@ def test_fast_path_matches_generic_q2_m4(f2):
         assert verdict == m_general_oracle(f2, ps.points, 4)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _codes(A):
+    return [A.encode(p) for p in A.points]
+
+
+def _colliding_sums(codes):
+    """Pair sums shared by two distinct pairs."""
+    seen, hits = set(), set()
+    for i, a in enumerate(codes):
+        for b in codes[i + 1 :]:
+            (hits if a ^ b in seen else seen).add(a ^ b)
+    return hits
+
+
+def test_sidon_scan_multi_bucket_constructions():
+    rng = random.Random(613)
+    for n in (16, 17, 18):
+        codes = _codes(lower_bound_4general(n))
+        assert len(codes) * (len(codes) - 1) // 2 > _BUCKET_PAIRS  # several buckets
+        assert _sidon_ok_char2(codes, n) and sidon_oracle_q2(codes)
+        # plus x = a ^ b ^ c, whose sum with c repeats a ^ b, which has its
+        # top bit set and so lies in a bucket h != 0
+        tried = 0
+        while tried < 3:
+            a, b, c = rng.sample(codes, 3)
+            x = a ^ b ^ c
+            if not (a ^ b) >> (n - 1) or x in codes:
+                continue
+            tried += 1
+            assert _sidon_ok_char2(codes + [x], n) is sidon_oracle_q2(codes + [x]) is False
+    # codes that share their high bits (leading zeros) or low bits (odd n)
+    base = lower_bound_4general(16)
+    high = PointSet.of(base.field, 20, [(0,) * 4 + p for p in base.points])
+    low = lower_bound_4general(17)
+    for A in (high, low):
+        codes = _codes(A)
+        assert is_m_general(A, 4) and sidon_oracle_q2(codes)
+        x = codes[0] ^ codes[5] ^ codes[9]
+        assert _sidon_ok_char2(codes + [x], A.n) is sidon_oracle_q2(codes + [x]) is False
+
+
+def test_sidon_scan_collision_only_outside_bucket_zero():
+    # sparse random codes plus x = a ^ b ^ c: every collision of the negative
+    # has a nonzero top-two-bit part, and there are at least four buckets
+    # (the three sums of a 4-point relation XOR to 0, so with two buckets
+    # one of them is always in bucket 0)
+    rng = random.Random(8)
+    verdicts = []
+    for n, size in ((34, 400), (40, 600)):
+        assert size * (size - 1) // 2 >= 2 * _BUCKET_PAIRS
+        while True:
+            codes = rng.sample(range(1 << n), size)
+            if not _colliding_sums(codes):
+                break
+        assert _sidon_ok_char2(codes, n)
+        while True:
+            a, b, c = rng.sample(codes, 3)
+            if len({a >> (n - 2), b >> (n - 2), c >> (n - 2)}) < 3 or a ^ b ^ c in codes:
+                continue
+            neg = codes + [a ^ b ^ c]
+            if all(h >> (n - 2) for h in _colliding_sums(neg)):
+                break
+        verdicts.append(_sidon_ok_char2(neg, n))
+        assert sidon_oracle_q2(neg) is False
+    assert verdicts == [False, False]
+
+
+def test_sidon_scan_pigeonhole():
+    # more pairs than the 2^n - 1 nonzero sums
+    assert _sidon_ok_char2(list(range(12)), 6) is sidon_oracle_q2(list(range(12))) is False
+    # exactly 2^n - 1 pairs is allowed
+    assert _sidon_ok_char2([0, 1], 1) and _sidon_ok_char2([], 3)
+
+
+def test_generic_m_general_matches_oracle():
+    rng = random.Random(2718)
+    fields = [make_field(3), make_field(2, 2), make_field(5), make_field(7),
+              make_field(2, 3), make_field(3, 2)]
+    verdicts = {True: 0, False: 0}
+    small_dependency = 0
+    for field in fields:
+        q = field.q
+        for n in range(1, 5):
+            for m in range(3, n + 3):
+                for _ in range(3):
+                    k = rng.randint(0, min(10, q**n))
+                    pts = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(k)]
+                    A = PointSet.of(field, n, pts)
+                    verdict = is_m_general(A, m)
+                    assert verdict == m_general_oracle(field, A.points, m), (q, n, m, A.points)
+                    verdicts[verdict] += 1
+                # an m-general set plus a point on the line through two of its
+                # points: the only dependencies go through it, one has 3 < m points
+                grown = []
+                for _ in range(30):
+                    cand = tuple(rng.randrange(q) for _ in range(n))
+                    if cand not in grown and m_general_oracle(field, grown + [cand], m):
+                        grown.append(cand)
+                    if len(grown) == 7:
+                        break
+                if len(grown) < 2:
+                    continue
+                a, b = rng.sample(grown, 2)
+                c = rng.randrange(2, q)
+                x = tuple(field.add(u, field.mul(c, field.sub(v, u))) for u, v in zip(a, b))
+                if x in grown:
+                    continue
+                A = PointSet.of(field, n, grown + [x])
+                assert not is_m_general(A, m) and not m_general_oracle(field, A.points, m)
+                verdicts[False] += 1
+                small_dependency += m > 3
+    assert min(verdicts.values()) > 50 and small_dependency > 20, (verdicts, small_dependency)
 
 
 def test_add_point_preserves_examples(f3):
@@ -206,7 +322,7 @@ def test_add_point_matches_full_recheck(f2, f3, f4, f5):
                 continue
             cand = rng.choice(outside)
             incremental = add_point_preserves(A, cand, m)
-            full = is_m_general(A.with_point(cand), m)
+            full = m_general_oracle(field, A.points + (cand,), m)
             assert incremental == full, (field.q, n, m, pts, cand)
 
 

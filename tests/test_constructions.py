@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from mgeneral.constructions import (
     sidon_graph,
 )
 from mgeneral.field import make_field
-from oracles import m_general_oracle, sidon_oracle_q2
+from oracles import apn_by_counting, m_general_oracle, sidon_oracle_q2
 
 
 def test_function_table_validation(f4):
@@ -46,6 +47,29 @@ def test_square_and_identity_fail_apn(d):
     ident = FunctionTable(f, tuple(f.elements()))
     rep = is_apn(ident)
     assert not rep.is_apn and rep.max_solutions == f.q
+
+
+def test_apn_matches_counting():
+    # random tables (1-byte packing), cube, square and identity for d = 9, 10
+    # (2-byte packing)
+    rng = random.Random(404)
+    tables = []
+    for d in range(1, 8):
+        f = make_field(2, d)
+        tables += [FunctionTable(f, tuple(rng.randrange(f.q) for _ in range(f.q))) for _ in range(4)]
+    for d in (9, 10):
+        f = make_field(2, d)
+        tables += [
+            cube_function(f),
+            FunctionTable(f, tuple(f.mul(x, x) for x in f.elements())),
+            FunctionTable(f, tuple(f.elements())),
+        ]
+    verdicts = set()
+    for table in tables:
+        report = is_apn(table)
+        assert (report.is_apn, report.max_solutions) == apn_by_counting(table), table.field
+        verdicts.add(report.is_apn)
+    assert verdicts == {True, False}
 
 
 def test_apn_requires_char2(f3):

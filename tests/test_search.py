@@ -70,6 +70,13 @@ def test_deadline_bounds_whole_run_with_workers():
     assert verify_certificate(cert)
 
 
+def test_expired_deadline_stops_every_span_at_its_first_node():
+    # each span reads the clock on its first node, not after 1024
+    cert = search_exact(4, 3, 3, workers=2, max_seconds=0.0)
+    assert not cert.exact
+    assert cert.nodes_explored <= 8
+
+
 def test_worker_partition_determinism(f3):
     seq = search_exact(2, f3, 3)
     par = search_exact(2, f3, 3, workers=2)
