@@ -60,7 +60,7 @@ class PointSet:
         return iter(self.points)
 
     def __contains__(self, p) -> bool:
-        return tuple(p) in set(self.points)
+        return tuple(p) in self.points
 
     def with_point(self, p: Sequence[int]) -> "PointSet":
         return PointSet.of(self.field, self.n, self.points + (tuple(p),))
@@ -74,42 +74,48 @@ class PointSet:
         return acc
 
 
-def _row_rank(field: Field, rows: list[list[int]]) -> int:
-    """Rank over F_q by Gaussian elimination; pivot = first nonzero in column order."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, v) for v in rows[r]]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c]
-            if f != 0:
-                rows[i] = [
-                    field.sub(v, field.mul(f, w)) for v, w in zip(rows[i], rows[r])
-                ]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+def _pivot_step(field: Field):
+    """Gaussian elimination over field, one pivot at a time: returns
+    (leading_one, clear).  leading_one(row) is (col, row scaled to 1 at col)
+    for the first nonzero column col, or None for a zero row; clear(col,
+    pivot, rows) subtracts from each row the multiple of pivot that zeroes
+    its column col."""
+    sub, mul, inv = field.sub, field.mul, field.inv
 
+    def leading_one(row):
+        for col, c in enumerate(row):
+            if c:
+                return col, tuple(map(mul, repeat(inv(c)), row))
+        return None
 
-def _rank_of_points(field: Field, pts: Sequence[Point]) -> int:
-    base = pts[0]
-    rows = [[field.sub(c, b) for c, b in zip(p, base)] for p in pts[1:]]
-    return _row_rank(field, rows)
+    def clear(col, pivot, rows):
+        return [
+            tuple(map(sub, r, map(mul, repeat(r[col]), pivot))) if r[col] else r
+            for r in rows
+        ]
+
+    return leading_one, clear
 
 
 def affine_rank(ps: PointSet) -> int:
-    """Dimension of the affine hull of the set."""
+    """Dimension of the affine hull of the set.
+
+    Each difference from the first point, reduced modulo the span of the
+    earlier ones, is zero or a new pivot."""
     if not ps.points:
         raise ValueError("affine_rank: empty set")
-    return _rank_of_points(ps.field, ps.points)
+    leading_one, clear = _pivot_step(ps.field)
+    base = ps.points[0]
+    rows = [tuple(map(ps.field.sub, p, base)) for p in ps.points[1:]]
+    rank = 0
+    while rows:
+        lead = leading_one(rows[0])
+        if lead is None:
+            rows = rows[1:]
+        else:
+            rank += 1
+            rows = clear(*lead, rows[1:])
+    return rank
 
 
 def is_affinely_independent(ps: PointSet) -> bool:
@@ -169,13 +175,7 @@ def _all_independent(field: Field, base: Point, others: Sequence[Point], size: i
     picks are dependent exactly when their residuals are parallel: that level
     compares the residuals scaled to a leading 1 as one set.  Needs size >= 3.
     """
-    sub, mul, inv = field.sub, field.mul, field.inv
-
-    def leading_one(row):
-        for col, c in enumerate(row):
-            if c:
-                return col, tuple(map(mul, repeat(inv(c)), row))
-        return None
+    leading_one, clear = _pivot_step(field)
 
     def extend(rows, need):
         if need == 2:
@@ -185,16 +185,11 @@ def _all_independent(field: Field, base: Point, others: Sequence[Point], size: i
             lead = leading_one(rows[j])
             if lead is None:
                 return False
-            col, pivot = lead
-            later = [
-                tuple(map(sub, r, map(mul, repeat(r[col]), pivot))) if r[col] else r
-                for r in rows[j + 1 :]
-            ]
-            if not extend(later, need - 1):
+            if not extend(clear(*lead, rows[j + 1 :]), need - 1):
                 return False
         return True
 
-    return extend([tuple(map(sub, p, base)) for p in others], size - 1)
+    return extend([tuple(map(field.sub, p, base)) for p in others], size - 1)
 
 
 def is_m_general(A: PointSet, m: int) -> bool:

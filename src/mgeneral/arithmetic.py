@@ -14,7 +14,8 @@ entries force equality of two distinct points), so only supports of size
 
 `is_m_general_arithmetic`, `is_weak_bk`, `is_bk` and
 `verify_ksum_injectivity` are one loop: hash weighted subset sums and stop
-at the first repeat.  The oracle splits each relation in half (the k-sum
+at the first repeat.  `weakly_avoids` runs the same sums for one form and
+looks for the zero sum.  The oracle splits each relation in half (the k-sum
 injectivity lemma), so it costs Theta(N^ceil(m/2) (q-1)^ceil(m/2)) hash
 operations on N points rather than the Theta(N^m) of enumerating every
 subset; that enumerative form is kept as the small-N reference
@@ -33,7 +34,7 @@ from itertools import chain, combinations, permutations, product, repeat
 from operator import add, xor
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .affine import PointSet
+from .affine import PointSet, _check_m_range
 from .field import Field
 
 __all__ = [
@@ -161,33 +162,22 @@ def count_nonzero_sum_vectors(q: int, k: int, gamma_is_zero: bool) -> int:
     return zero_ct if gamma_is_zero else nonzero_ct
 
 
-def _support_hits(field: Field, coeffs: Sequence[int], A: PointSet) -> bool:
-    """Is there a tuple of len(coeffs) distinct points with combination 0?
-
-    coeffs must be all-nonzero.  Distinct assignments are enumerated as
-    subset x distinct-permutation-of-coefficients, which covers exactly the
-    injective tuples.
-    """
-    t = len(coeffs)
-    if t > len(A):
-        return False
-    zero = (0,) * A.n
-    perms = sorted(set(permutations(coeffs)))
-    for subset in combinations(A.points, t):
-        for cs in perms:
-            if _combo(field, cs, subset) == zero:
-                return True
-    return False
-
-
 def weakly_avoids(A: PointSet, c: CoeffVector) -> bool:
-    """True iff no tuple of t distinct points of A satisfies the form = 0."""
+    """True iff no tuple of t distinct points of A satisfies the form = 0.
+
+    Each distinct arrangement of the nonzero coefficients over each subset
+    of A covers exactly the injective tuples; the lifted sums carry
+    gamma = 0, so a solution is a weighted sum equal to the empty sum."""
     if c.kind != KIND_SUM_ZERO:
         raise ValueError("weakly_avoids expects a sum_zero coefficient vector")
+    if c.field != A.field:
+        raise ValueError(f"form over {c.field.q_spec}, set over {A.field.q_spec}")
     support = tuple(x for x in c.coeffs if x != 0)
     if len(support) <= 2:
         return True
-    return not _support_hits(c.field, support, A)
+    sums = _weighted_sums(A)
+    zero = next(sums([()]))
+    return zero not in sums(set(permutations(support)))
 
 
 def _weighted_sums(A: PointSet) -> Callable[[Sequence[tuple]], Iterator]:
@@ -277,8 +267,7 @@ def is_m_general_arithmetic(A: PointSet, m: int) -> bool:
     equal one c with k c = (2k+1) c = 0, so c = 0.  Cost:
     Theta(N^ceil(m/2) (q-1)^ceil(m/2)) hash operations.
     """
-    if not 3 <= m <= A.n + 2:
-        raise ValueError(f"m out of range: need 3 <= m <= n+2, got m={m}, n={A.n}")
+    _check_m_range(m, A.n)
     if len(A) < m:
         raise ValueError(f"arithmetic test needs |A| >= m, got |A|={len(A)}, m={m}")
     field, k = A.field, m // 2

@@ -35,6 +35,8 @@ from .field import (
     reload_modulus_tables,
 )
 from .search import (
+    DEFAULT_MAX_NODES,
+    DEFAULT_MAX_SECONDS,
     read_certificate,
     search_exact,
     search_greedy,
@@ -216,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--greedy", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--max-nodes", type=int, default=100_000_000)
-    p.add_argument("--max-seconds", type=float, default=300.0)
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument("--max-seconds", type=float, default=DEFAULT_MAX_SECONDS)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("-o", "--output", default=None, help="certificate file (default stdout)")
     p.set_defaults(func=cmd_search)
@@ -232,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    saved = os.environ.get(MODULUS_TABLE_ENV)
     if args.moduli:
         os.environ[MODULUS_TABLE_ENV] = args.moduli
         reload_modulus_tables()
@@ -240,6 +243,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if args.moduli:  # the override lasts this call only
+            os.environ.pop(MODULUS_TABLE_ENV)
+            if saved is not None:
+                os.environ[MODULUS_TABLE_ENV] = saved
+            reload_modulus_tables()
 
 
 if __name__ == "__main__":

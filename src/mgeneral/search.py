@@ -34,7 +34,10 @@ Pruning, both rules always on:
   still exact.
 
 Budgets: `search_exact` splits the second points into spans (one, or
-4 * workers in a process pool), each searched with one `_Run` record.  One
+4 * workers in a process pool), each searched with one `_Run` record.  A
+span is the DFS's first level, from the origin, over a window of second
+points; every allowed point above the window's start still counts toward
+the size bound, so the pruning is that of the unsplit search.  One
 deadline on the system-wide monotonic clock bounds the whole run;
 `max_nodes` applies to each span.
 
@@ -259,11 +262,13 @@ def _kernel(field: Field, n: int, m: int):
     return _Flats(field, n, m)
 
 
-def _dfs(kernel, state, codes, run):
-    if not run.tick():
-        return
-    allowed = ~state[0] & kernel.full & -(1 << (codes[-1] + 1))
-    remaining = allowed.bit_count()
+def _dfs(kernel, state, codes, run, floor, window):
+    """Grow codes by each allowed point of window at or above floor, lowest
+    first, and recurse above it; every allowed point at or above floor, in
+    window or not, counts toward the size bound."""
+    above = ~state[0] & kernel.full & -(1 << floor)
+    remaining = above.bit_count()
+    allowed = above & window
     extend = kernel.extend
     while allowed:
         if len(codes) + remaining <= run.size:
@@ -272,7 +277,8 @@ def _dfs(kernel, state, codes, run):
         p = low.bit_length() - 1
         codes.append(p)
         run.offer(codes)
-        _dfs(kernel, extend(state, p), codes, run)
+        if run.tick():
+            _dfs(kernel, extend(state, p), codes, run, p + 1, kernel.full)
         codes.pop()
         if run.exhausted:
             return
@@ -284,25 +290,17 @@ def _dfs(kernel, state, codes, run):
 
 
 def _run_span(field, n, m, second_lo, second_hi, max_nodes, deadline, cap):
-    """Explore all sets {0, s, ...} with second point s in [second_lo, second_hi).
+    """Explore all sets {0, s, ...} with second point s in [second_lo, second_hi):
+    the DFS from the origin, its first level the window of second points.
 
     Returns (best_size, witness_codes, nodes, exhausted).
     """
     run = _Run(max_nodes, deadline, cap)
     kernel = _kernel(field, n, m)
-    origin = kernel.extend(kernel.empty, 0)
-    total = field.q**n
+    window = (1 << second_hi) - (1 << second_lo)
     try:
         run.offer([0])
-        for s in range(second_lo, second_hi):
-            # sets with second point s live inside {0, s} + points above s
-            if 2 + (total - s - 1) <= run.size:
-                break
-            codes = [0, s]
-            run.offer(codes)
-            _dfs(kernel, kernel.extend(origin, s), codes, run)
-            if run.exhausted:
-                break
+        _dfs(kernel, kernel.extend(kernel.empty, 0), [0], run, second_lo, window)
     except _CapReached:
         pass
     return run.size, run.witness, run.nodes, run.exhausted

@@ -130,6 +130,27 @@ def m_general_by_forms(field, pts, m: int) -> bool:
     return True
 
 
+def form_vanishes(field, coeffs, pts) -> bool:
+    """Is there a tuple of len(coeffs) distinct points of pts on which the
+    all-nonzero coeffs combine to 0?  Every subset times every distinct
+    arrangement of the coefficients, which covers exactly the injective
+    tuples.  The reference for the package's `weakly_avoids`."""
+    t = len(coeffs)
+    if t > len(pts):
+        return False
+    n = len(pts[0])
+    arrangements = sorted(set(permutations(coeffs)))
+    for subset in combinations(pts, t):
+        for cs in arrangements:
+            out = [0] * n
+            for c, pt in zip(cs, subset):
+                for i in range(n):
+                    out[i] = field.add(out[i], field.mul(c, pt[i]))
+            if not any(out):
+                return True
+    return False
+
+
 def bk_by_multisets(field, pts, k: int) -> bool:
     """B_k by enumeration: every k-multiset of pts summed coordinatewise,
     False at the first two multisets with equal sums that are not the same

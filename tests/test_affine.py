@@ -50,18 +50,24 @@ def test_affinely_independent_examples(f3, f5):
     assert not is_affinely_independent(four)  # rank capped at n = 2 < 3
 
 
-def test_rank_against_oracles(f2, f3, f5):
+def test_rank_against_oracles(f2, f3, f4, f5, f8, f9):
+    # up to 7 points in n <= 4 over GF(4), GF(8), GF(9): rows reduce to zero
+    # mid-elimination
     rng = random.Random(4821)
-    for field in (f2, f3, f5):
+    dependent = 0
+    for field, max_n, max_k in ((f2, 3, 4), (f3, 3, 4), (f5, 3, 4), (f4, 4, 7), (f8, 4, 7), (f9, 4, 7)):
         for _ in range(40):
-            n = rng.randint(1, 3)
-            k = rng.randint(1, min(4, field.q**n))
+            n = rng.randint(1, max_n)
+            k = rng.randint(1, min(max_k, field.q**n))
             pts = rng.sample(list(product(range(field.q), repeat=n)), k)
             ps = PointSet.of(field, n, pts)
-            assert affine_rank(ps) == rank_oracle(field, ps.points)
+            rank = affine_rank(ps)
+            assert rank == rank_oracle(field, ps.points)
+            dependent += rank < len(ps) - 1
             if len(ps) <= 4:
                 dep = dependent_by_enumeration(field, ps.points)
                 assert is_affinely_independent(ps) == (not dep)
+    assert dependent >= 60, dependent
 
 
 def test_rank_invariant_under_permutation_and_base_point(f5):

@@ -17,7 +17,7 @@ from mgeneral.arithmetic import (
     weakly_avoids,
 )
 from mgeneral.field import field_for_order, make_field
-from oracles import bk_by_multisets, m_general_by_forms, m_general_oracle
+from oracles import bk_by_multisets, form_vanishes, m_general_by_forms, m_general_oracle
 
 
 def test_coeff_vector_validation(f3, f5):
@@ -113,6 +113,41 @@ def test_weakly_avoids(f3):
     assert weakly_avoids(small, CoeffVector.sum_zero(f3, (1, 1, 1)))
     with pytest.raises(ValueError, match="sum_zero"):
         weakly_avoids(A, CoeffVector.nonzero_sum(f3, (1, 2), 0))
+    with pytest.raises(ValueError, match="form over 5"):
+        weakly_avoids(A, CoeffVector.sum_zero(make_field(5), (1, 1, 3)))
+
+
+def test_weakly_avoids_matches_reference():
+    # every sum-zero form of length 3..5 against sets drawn from a pool of
+    # sizes 0..8 in n = 1..3, at least ~400 checks per field; the reference
+    # depends only on the nonzero coefficients as a multiset, so it runs once
+    # per (set, multiset)
+    rng = random.Random(8808)
+    for q in (2, 3, 4, 5, 7, 9):
+        field = field_for_order(q)
+        pool = [
+            PointSet.of(field, n, rng.sample(list(product(range(q), repeat=n)), size))
+            for n in (1, 2, 3)
+            for size in range(min(8, q**n) + 1)
+        ]
+        forms = [c for t in (3, 4, 5) for c in sum_zero_vectors(field, t)]
+        draws = min(len(pool), max(1, 400 // len(forms)))
+        reference: dict[tuple, bool] = {}
+        verdicts = {True: 0, False: 0}
+        longer = 0
+        for c in forms:
+            support = tuple(sorted(x for x in c.coeffs if x))
+            for i in rng.sample(range(len(pool)), draws):
+                A = pool[i]
+                if (i, support) not in reference:
+                    hit = len(support) >= 3 and form_vanishes(field, support, A.points)
+                    reference[i, support] = not hit
+                got = weakly_avoids(A, c)
+                assert got == reference[i, support], (q, A.points, c.coeffs)
+                verdicts[got] += 1
+                longer += len(support) > len(A)
+        assert min(verdicts.values()) >= 10, (q, verdicts)
+        assert longer >= 10, q
 
 
 def test_arithmetic_oracle_examples(f3, f5):

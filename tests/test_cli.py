@@ -207,25 +207,28 @@ def test_byte_identical_reruns(capsys, tmp_path):
 
 
 def test_construct_with_custom_modulus_table(capsys, tmp_path):
-    import os
-
-    import mgeneral.field as field_mod
-
     # x^3 + x^2 + 1 instead of the default x^3 + x + 1 for GF(8)
     table = tmp_path / "moduli.txt"
     table.write_text("2 3 1 0 1 1\n")
     setfile = tmp_path / "c6.txt"
-    try:
-        code, _, _ = run(
-            capsys, "--moduli", str(table), "construct", "--n", "6", "-o", str(setfile)
-        )
-        assert code == 0
-        assert "modulus_id=13" in setfile.read_text()
-        code, _, _ = run(capsys, "verify", str(setfile))
-        assert code == 0
-    finally:
-        os.environ.pop(field_mod.MODULUS_TABLE_ENV, None)
-        field_mod.reload_modulus_tables()
+    code, _, _ = run(
+        capsys, "--moduli", str(table), "construct", "--n", "6", "-o", str(setfile)
+    )
+    assert code == 0
+    assert "modulus_id=13" in setfile.read_text()
+    code, _, _ = run(capsys, "verify", str(setfile))
+    assert code == 0
+
+
+def test_moduli_override_lasts_one_call(capsys, tmp_path):
+    table = tmp_path / "moduli.txt"
+    table.write_text("2 3 1 0 1 1\n")
+    code, out, _ = run(capsys, "--moduli", str(table), "construct", "--n", "6")
+    assert code == 0 and "modulus_id=13" in out
+    code, out, _ = run(capsys, "construct", "--n", "6")
+    assert code == 0 and "modulus_id=11" in out
+    code, out, _ = run(capsys, "search", "--n", "1", "--q", "8", "--m", "3")
+    assert code == 0 and json.loads(out)["params"]["q_spec"] == "2^3:11"
 
 
 def test_verify_outside_equivalence_range_notes(capsys, tmp_path):
