@@ -145,13 +145,13 @@ def _sidon_ok_char2(codes: Sequence[int], n: int) -> bool:
     _BUCKET_PAIRS pairs per bucket.
     """
     pairs = len(codes) * (len(codes) - 1) // 2
-    if pairs > (1 << n) - 1:
+    if pairs.bit_length() > n:  # pairs >= 2^n; no 2^n-bit integer is built
         return False
     s = n - (pairs // _BUCKET_PAIRS).bit_length()
-    low = (1 << s) - 1
     groups: dict[int, list[int]] = {}
     for c in codes:
-        groups.setdefault(c >> s, []).append(c & low)
+        t = c >> s
+        groups.setdefault(t, []).append(c ^ (t << s))
     for h in range(1 << (n - s)):
         if h:
             sums = [x ^ y for t, g in groups.items() if (u := t ^ h) > t and u in groups

@@ -269,7 +269,7 @@ def is_m_general_arithmetic(A: PointSet, m: int) -> bool:
     """
     _check_m_range(m, A.n)
     if len(A) < m:
-        raise ValueError(f"arithmetic test needs |A| >= m, got |A|={len(A)}, m={m}")
+        raise ValueError(f"arithmetic oracle needs |A| >= m, got |A|={len(A)}, m={m}")
     field, k = A.field, m // 2
     sums = _weighted_sums(A)
     keys = chain.from_iterable(sums(_vectors(field, j, (0, 1))) for j in range(1, k + 1))

@@ -49,6 +49,14 @@ __all__ = [
 ]
 
 
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _exp(x: float) -> float:
+    """e^x, or inf past the float range."""
+    return math.exp(x) if x <= _LOG_MAX else math.inf
+
+
 def _check_main_pre(n: int, q: int, m: int) -> None:
     if m < 4:
         raise ValueError(f"counting bound needs m >= 4, got m={m}")
@@ -63,12 +71,9 @@ def bound_main(n: int, q: int, m: int) -> float:
     inf beyond the float range."""
     _check_main_pre(n, q, m)
     k = m // 2
-    try:
-        if q == 2:
-            return math.factorial(k) ** (1 / k) * 2 ** (n / k) + k
-        return k * q ** (n / k) / ((q - 1) ** (1 - 2 / k) * (q - 2) ** (1 / k))
-    except OverflowError:
-        return math.inf
+    if q == 2:
+        return _exp((math.lgamma(k + 1) + n * math.log(2)) / k) + k
+    return k * _exp((n * math.log(q) - (k - 2) * math.log(q - 1) - math.log(q - 2)) / k)
 
 
 def _coefficient_count(q: int, k: int) -> int:
@@ -76,10 +81,16 @@ def _coefficient_count(q: int, k: int) -> int:
 
 
 def _iroot(x: int, k: int) -> int:
-    """floor(x ** (1/k)) for x >= 0, by integer Newton iteration from above."""
+    """floor(x ** (1/k)) for x >= 0, by integer Newton iteration from above,
+    started just above the root: at a float estimate rounded up, or at a
+    power of two when the root exceeds the float range."""
     if x < 2:
         return x
-    r = 1 << -(-x.bit_length() // k)  # > the root
+    log_root = math.log(x) / k
+    if log_root < _LOG_MAX - 1:
+        r = math.ceil(math.exp(log_root) * (1 + 1e-9)) + 1  # > the root
+    else:
+        r = 1 << -(-x.bit_length() // k)  # > the root
     while True:
         nxt = ((k - 1) * r + x // r ** (k - 1)) // k
         if nxt >= r:
@@ -132,7 +143,7 @@ def refined_bound(n: int, q: int, m: int) -> float:
     _check_main_pre(n, q, m)
     k = m // 2
     log_target = n * math.log(q) - math.log(_coefficient_count(q, k)) + math.lgamma(k + 1)
-    if log_target / k >= math.log(sys.float_info.max) - 1e-9:  # margin for rounding
+    if log_target / k >= _LOG_MAX - 1e-9:  # margin for rounding
         return math.inf
     cap = integer_cap(n, q, m)
 
@@ -164,9 +175,15 @@ def h_deriv(q: int, m: int, t: float) -> float:
     return t ** (-(q - 1) / m - 1.0) / (m * (1.0 - t) ** 2) * bracket
 
 
+def _log_h(q: int, m: int, t: float) -> float:
+    return -(q - 1) / m * math.log(t) + math.log((1.0 - t**q) / (1.0 - t))
+
+
 def minimize_h(q: int, m: int, tol: float = 1e-12, max_iter: int = 200):
     """Ternary search for min_t h(t) on (0,1); h is convex there.
 
+    The search compares log h, which has the same minimizer and stays in
+    the float range where t^(-(q-1)/m) does not; h(t_star) <= h(1-) = q.
     Returns (t_star, h(t_star), iterations).
     """
     lo, hi = 0.0, 1.0
@@ -174,7 +191,7 @@ def minimize_h(q: int, m: int, tol: float = 1e-12, max_iter: int = 200):
     while hi - lo > tol and it < max_iter:
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        if h_eval(q, m, m1) <= h_eval(q, m, m2):
+        if _log_h(q, m, m1) <= _log_h(q, m, m2):
             hi = m2
         else:
             lo = m1
@@ -204,10 +221,7 @@ def bennett_bound(n: int, q: int, m: int):
     returns (bound, t_star)."""
     _check_bennett_pre(q, m, n)
     t_star, h_min, _ = minimize_h(q, m)
-    try:
-        return 2 * m + m * h_min**n, t_star
-    except OverflowError:
-        return math.inf, t_star
+    return 2 * m + _exp(math.log(m) + n * math.log(h_min)), t_star
 
 
 def mu_upper_main(m: int) -> float:

@@ -21,6 +21,7 @@ from .arithmetic import is_m_general_arithmetic
 from .bounds import (
     TABLE1_M_ROWS,
     TABLE1_Q_COLUMNS,
+    _fmt,
     bound_report,
     reports_to_csv,
     table1_grid,
@@ -66,13 +67,10 @@ def cmd_verify(args) -> int:
     results = {}
     if args.oracle in ("geometric", "both"):
         results["geometric"] = is_m_general(A, m)
-    if args.oracle in ("arithmetic", "both"):
-        if len(A) >= m:
-            results["arithmetic"] = is_m_general_arithmetic(A, m)
-        elif args.oracle == "arithmetic":
-            raise ValueError(f"arithmetic oracle needs |A| >= m, got |A|={len(A)}, m={m}")
-        else:
-            print(f"note: |A| = {len(A)} < m = {m}; arithmetic oracle skipped")
+    if args.oracle == "both" and len(A) < m:
+        print(f"note: |A| = {len(A)} < m = {m}; arithmetic oracle skipped")
+    elif args.oracle in ("arithmetic", "both"):
+        results["arithmetic"] = is_m_general_arithmetic(A, m)  # raises for |A| < m
     if m > A.n:
         print(f"note: m = {m} exceeds n = {A.n}; the arithmetic-geometric "
               "equivalence is only established for m <= n")
@@ -109,21 +107,15 @@ def cmd_bounds(args) -> int:
         return EXIT_OK
     for r in reports:
         print(f"n={r.n} q={r.q} m={r.m} k={r.k}")
-        if r.main is not None:
-            print(f"  counting bound : {r.main:.6g}")
-            print(f"  refined bound  : {r.refined:.6g}  (exact coefficient count; "
-                  "tighter than the provable constant)")
-            print(f"  mu upper       : {r.mu_main:.6g}")
-        else:
-            print("  counting bound : NA")
-            print("  refined bound  : NA")
-            print("  mu upper       : NA")
-        if r.bennett is not None:
-            print(f"  bennett bound  : {r.bennett:.6g}  (t* = {r.t_star:.6g})")
-            print(f"  mu bennett     : {r.mu_bennett:.6g}")
-        else:
-            print("  bennett bound  : NA")
-            print("  mu bennett     : NA")
+        for label, value, note in (
+            ("counting bound", r.main, ""),
+            ("refined bound", r.refined,
+             "  (exact coefficient count; tighter than the provable constant)"),
+            ("mu upper", r.mu_main, ""),
+            ("bennett bound", r.bennett, f"  (t* = {_fmt(r.t_star)})"),
+            ("mu bennett", r.mu_bennett, ""),
+        ):
+            print(f"  {label:<14} : {_fmt(value)}{note if value is not None else ''}")
     return EXIT_OK
 
 

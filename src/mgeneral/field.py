@@ -175,9 +175,6 @@ class Field:
 
     def _build_tables(self) -> None:
         q = self.q
-        if q == 2:
-            self._exp, self._log = [1], [0, 0]
-            return
         order = q - 1
         prime_factors = []
         t, f = order, 2
@@ -200,7 +197,7 @@ class Field:
             return acc
 
         g = None
-        for cand in range(2, q):
+        for cand in range(1, q):  # 1 generates only GF(2)'s group
             if all(pow_naive(cand, order // r) != 1 for r in prime_factors):
                 g = cand
                 break
@@ -312,6 +309,11 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, d={self.d}, modulus={self.modulus})"
+
+    def __reduce__(self):
+        # Rebuild through the cache; the default protocol would also
+        # materialise the instance __dict__, which slows every later call.
+        return make_field, (self.p, self.d, self.modulus)
 
 
 _field_cache: dict[tuple, Field] = {}

@@ -34,12 +34,12 @@ Pruning, both rules always on:
   still exact.
 
 Budgets: `search_exact` splits the second points into spans (one, or
-4 * workers in a process pool), each searched with one `_Run` record.  A
-span is the DFS's first level, from the origin, over a window of second
-points; every allowed point above the window's start still counts toward
-the size bound, so the pruning is that of the unsplit search.  One
-deadline on the system-wide monotonic clock bounds the whole run;
-`max_nodes` applies to each span.
+4 * workers in a pool of min(workers, CPUs) processes), each searched with
+one `_Run` record.  A span is the DFS's first level, from the origin, over
+a window of second points; every allowed point above the window's start
+still counts toward the size bound, so the pruning is that of the unsplit
+search.  One deadline on the system-wide monotonic clock bounds the whole
+run; `max_nodes` applies to each span.
 
 Certificates are JSON files carrying the witness and enough provenance to
 re-verify from scratch; `verify_certificate` re-runs both the geometric and
@@ -49,6 +49,7 @@ arithmetic oracles on the witness and re-checks the counting bound.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -59,7 +60,7 @@ from . import __version__
 from .affine import PointSet, _check_m_range, _path_or_stream, is_m_general
 from .arithmetic import is_m_general_arithmetic
 from .bounds import integer_cap, refined_bound, within_cap
-from .field import Field, field_for_order, field_from_q_spec, make_field
+from .field import Field, field_for_order, field_from_q_spec
 
 __all__ = [
     "SearchCertificate",
@@ -106,15 +107,16 @@ class SearchCertificate:
         return PointSet.of(field, self.n, self.witness)
 
 
-def _as_field(q) -> Field:
-    return q if isinstance(q, Field) else field_for_order(q)
-
-
-def _ambient_size(field: Field, n: int) -> int:
+def _setup(n: int, q, m: int):
+    """(field, q^n, refined bound or None) for a search in F_q^n, q a Field
+    or a prime power; raises ValueError for m out of range or an ambient
+    of more than AMBIENT_LIMIT points."""
+    field = q if isinstance(q, Field) else field_for_order(q)
+    _check_m_range(m, n)
     total = field.q**n
     if total > AMBIENT_LIMIT:
         raise ValueError(f"ambient too large for search: q^n = {total}")
-    return total
+    return field, total, refined_bound(n, field.q, m) if m >= 4 else None
 
 
 def _decode(q: int, n: int, code: int) -> tuple[int, ...]:
@@ -289,12 +291,13 @@ def _dfs(kernel, state, codes, run, floor, window):
 # -- drivers -----------------------------------------------------------------------
 
 
-def _run_span(field, n, m, second_lo, second_hi, max_nodes, deadline, cap):
+def _run_span(span):
     """Explore all sets {0, s, ...} with second point s in [second_lo, second_hi):
     the DFS from the origin, its first level the window of second points.
 
     Returns (best_size, witness_codes, nodes, exhausted).
     """
+    field, n, m, second_lo, second_hi, max_nodes, deadline, cap = span
     run = _Run(max_nodes, deadline, cap)
     kernel = _kernel(field, n, m)
     window = (1 << second_hi) - (1 << second_lo)
@@ -306,26 +309,18 @@ def _run_span(field, n, m, second_lo, second_hi, max_nodes, deadline, cap):
     return run.size, run.witness, run.nodes, run.exhausted
 
 
-def _run_span_args(args):
-    p, d, modulus, *rest = args
-    return _run_span(make_field(p, d, modulus), *rest)
-
-
-def _make_certificate(field, n, m, value, witness_codes, nodes, exact, bound, seed, restarts, reductions):
-    witness = tuple(sorted(_decode(field.q, n, c) for c in witness_codes))
+def _make_certificate(field, n, m, codes, bound, **fields) -> SearchCertificate:
+    """The certificate for the set of point codes found; fields gives the
+    search's own entries: exact, nodes_explored, seed, restarts, reductions."""
     return SearchCertificate(
         n=n,
         q_spec=field.q_spec,
         m=m,
-        value=value,
-        exact=exact,
-        witness=witness,
-        nodes_explored=nodes,
+        value=len(codes),
+        witness=tuple(sorted(_decode(field.q, n, c) for c in codes)),
         prune_bound_used=None if bound is None else float(f"{bound:.6g}"),
-        seed=seed,
-        restarts=restarts,
-        reductions=tuple(reductions),
         toolchain={"modulus_id": field.modulus_id, "version": __version__},
+        **fields,
     )
 
 
@@ -345,25 +340,21 @@ def search_exact(
     with exact=False.  max_seconds bounds the whole run, max_nodes each of
     the 4 * workers spans when workers > 1.
     """
-    field = _as_field(q)
-    _check_m_range(m, n)
-    total = _ambient_size(field, n)
-    bound = refined_bound(n, field.q, m) if m >= 4 else None
+    field, total, bound = _setup(n, q, m)
     cap = integer_cap(n, field.q, m) if m >= 4 else None
 
     deadline = time.monotonic() + max_seconds
     chunk = total - 1 if workers <= 1 else max(1, -(-(total - 1) // (workers * 4)))
     spans = [
-        (n, m, lo, min(lo + chunk, total), max_nodes, deadline, cap)
+        (field, n, m, lo, min(lo + chunk, total), max_nodes, deadline, cap)
         for lo in range(1, total, chunk)
     ]
     if workers <= 1:
-        results = [_run_span(field, *span) for span in spans]
+        results = list(map(_run_span, spans))
     else:
-        # ship (p, d, modulus): pickling a Field fills its __dict__ and slows its later calls
-        args = [(field.p, field.d, field.modulus, *span) for span in spans]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_span_args, args))
+        # the spans depend on workers alone; a pool starts all its processes at once
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+            results = list(pool.map(_run_span, spans))
     size, witness, _, _ = max(results, key=lambda r: r[0])  # the first span of the best size
     nodes = sum(r[2] for r in results)
     exhausted = any(r[3] for r in results)
@@ -374,7 +365,8 @@ def search_exact(
         reductions.append("refined-bound-cap")
     reductions.append("best-prune")
     return _make_certificate(
-        field, n, m, size, witness, nodes, exact, bound, None, None, reductions
+        field, n, m, witness, bound, exact=exact, nodes_explored=nodes,
+        seed=None, restarts=None, reductions=tuple(reductions),
     )
 
 
@@ -382,12 +374,9 @@ def search_greedy(n: int, q, m: int, seed: int = 0, restarts: int = 1) -> Search
     """Randomized greedy with restarts; deterministic for a given (seed, restarts)."""
     if restarts < 1:
         raise ValueError(f"need restarts >= 1, got {restarts}")
-    field = _as_field(q)
-    _check_m_range(m, n)
-    total = _ambient_size(field, n)
+    field, total, bound = _setup(n, q, m)
     kernel = _kernel(field, n, m)
-    bound = refined_bound(n, field.q, m) if m >= 4 else None
-    best_sz, best_wit = 0, []
+    best_wit = []
     checks = 0
     for r in range(restarts):
         rng = random.Random(f"{seed}:{r}")
@@ -402,11 +391,11 @@ def search_greedy(n: int, q, m: int, seed: int = 0, restarts: int = 1) -> Search
             state = kernel.extend(state, code)
             chosen.append(code)
         wit = sorted(chosen)
-        if len(wit) > best_sz or (len(wit) == best_sz and wit < best_wit):
-            best_sz, best_wit = len(wit), wit
+        if (-len(wit), wit) < (-len(best_wit), best_wit):  # larger, then lex-least
+            best_wit = wit
     return _make_certificate(
-        field, n, m, best_sz, best_wit, checks, False, bound, seed, restarts,
-        ["greedy"],
+        field, n, m, best_wit, bound, exact=False, nodes_explored=checks,
+        seed=seed, restarts=restarts, reductions=("greedy",),
     )
 
 
@@ -458,7 +447,7 @@ def read_certificate(path) -> SearchCertificate:
             reductions=tuple(doc.get("reductions", ())),
             toolchain=dict(doc.get("toolchain", {})),
         )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
         raise MalformedCertificateError(f"malformed certificate: {e}") from None
     return cert
 

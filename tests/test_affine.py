@@ -258,6 +258,8 @@ def test_sidon_scan_pigeonhole():
     assert _sidon_ok_char2(list(range(12)), 6) is sidon_oracle_q2(list(range(12))) is False
     # exactly 2^n - 1 pairs is allowed
     assert _sidon_ok_char2([0, 1], 1) and _sidon_ok_char2([], 3)
+    # neither test nor scan builds a 2^n-bit integer
+    assert _sidon_ok_char2([0, 1, 2], 10**20) and not _sidon_ok_char2([0, 1, 2, 3], 10**20)
 
 
 def test_generic_m_general_matches_oracle():

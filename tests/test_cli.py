@@ -320,3 +320,36 @@ def test_cli_fuzz_exit_codes(capsys, tmp_path):
             code = e.code
         capsys.readouterr()
         assert code in (0, 1, 2, 3), argv
+
+
+_CERT = ('{{"format": 1, "params": {{"n": {n}, "q_spec": "2^1:2", "m": {m}}}, "value": {value},'
+         ' "exact": false, "witness": {witness}, "nodes_explored": 0}}')
+_HUGE_N = 10**20
+
+
+@pytest.mark.parametrize("cert, argv, expected", [
+    (_CERT.format(n=2, m=3, value=1, witness="[5]"), ["check"], 2),
+    (_CERT.format(n=2, m=3, value=1, witness="[[0, 0]]"), ["check"], 2),
+    (_CERT.format(n=2, m=3, value="1e400", witness='["0 0"]'), ["check"], 2),
+    (_CERT.format(n="1e400", m=3, value=1, witness='["0 0"]'), ["check"], 2),
+    (_CERT.format(n=2, m="1e400", value=1, witness='["0 0"]'), ["check"], 2),
+    (_CERT.format(n=_HUGE_N, m=4, value=0, witness="[]"), ["check"], 0),
+    (f"format=1\n2^1:2 {_HUGE_N} 4\n", ["verify"], 0),
+    (None, ["bounds", "--q", "65536", "--m", "4", "--n", "3"], 0),
+    (None, ["bounds", "--q", "2", "--m", "342", "--n", "4"], 0),
+    (None, ["bounds", "--q", "3", "--m", "100000", "--n", "3"], 0),
+], ids=["witness-int", "witness-list", "value-1e400", "n-1e400", "m-1e400", "check-huge-n",
+        "verify-huge-n", "bounds-q65536", "bounds-m342", "bounds-m100000"])
+def test_edge_inputs_exit_cleanly(capsys, tmp_path, cert, argv, expected):
+    """Malformed certificates, a huge n in sets and certificates, and bounds
+    at extreme (q, m) end in an exit code within 5 s, with no exception
+    escaping cli.main and no value printed as inf."""
+    if cert is not None:
+        path = tmp_path / "input"
+        path.write_text(cert)
+        argv = [*argv, str(path)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert code == expected, err
+    assert "inf" not in out

@@ -1,3 +1,4 @@
+import pickle
 import random
 from functools import reduce
 
@@ -155,6 +156,13 @@ def test_deterministic_construction():
     assert a is b
     c = Field(2, 3)
     assert c == a and hash(c) == hash(a)
+
+
+def test_pickle_rebuilds_through_the_cache():
+    for field in (Field(3, 2), Field(2, 1), Field(3, 2, (2, 2, 1))):
+        clone = pickle.loads(pickle.dumps(field))
+        assert clone is make_field(field.p, field.d, field.modulus)
+        assert clone == field
 
 
 def test_default_table_entries_are_irreducible():

@@ -1,10 +1,12 @@
 import io
 import json
+import os
 import random
 import time
 
 import pytest
 
+from mgeneral import search
 from mgeneral.affine import PointSet, add_point_preserves, is_m_general
 from mgeneral.bounds import refined_bound
 from mgeneral.field import make_field
@@ -82,6 +84,32 @@ def test_worker_partition_determinism(f3):
     par = search_exact(2, f3, 3, workers=2)
     assert par.value == seq.value and par.exact
     assert par.witness == seq.witness
+
+
+def test_pool_size_capped_at_cpu_count(monkeypatch):
+    # a pool starts all its processes at once, so record the size asked for
+    # and map in process instead of starting one
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", Recorder)
+    cert = search_exact(4, 2, 4, workers=100_000)
+    assert sizes == [min(100_000, os.cpu_count() or 1)]
+    seq = search_exact(4, 2, 4)
+    assert cert.value == seq.value and cert.exact
+    assert cert.witness == seq.witness
 
 
 def test_monotonicity_of_exact_values(f2, f3):
