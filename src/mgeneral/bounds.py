@@ -132,7 +132,7 @@ def within_cap(value: int, n: int, q: int, m: int) -> bool:
 
 
 def refined_bound(n: int, q: int, m: int) -> float:
-    """Largest real x with L * C(x, k) <= q^n; tighter than bound_main.
+    """Largest real x with L * C(x, k) <= q^n.
 
     L is the exact coefficient-vector count (an implementation strengthening
     over its provable lower bound (q-1)^(k-2) * (q-2)), or 1 when q = 2.

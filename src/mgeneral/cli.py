@@ -109,8 +109,7 @@ def cmd_bounds(args) -> int:
         print(f"n={r.n} q={r.q} m={r.m} k={r.k}")
         for label, value, note in (
             ("counting bound", r.main, ""),
-            ("refined bound", r.refined,
-             "  (exact coefficient count; tighter than the provable constant)"),
+            ("refined bound", r.refined, "  (largest x with L C(x, k) <= q^n)"),
             ("mu upper", r.mu_main, ""),
             ("bennett bound", r.bennett, f"  (t* = {_fmt(r.t_star)})"),
             ("mu bennett", r.mu_bennett, ""),

@@ -108,8 +108,20 @@ def reload_modulus_tables() -> None:
     _default_table = None
 
 
+def _check_order(p: int, d: int) -> None:
+    """Refuse (p, d) unless d >= 1, p^d <= MAX_ORDER and p is prime.  The sizes
+    are tested first, without computing a huge p^d, and primality last."""
+    if d < 1:
+        raise ValueError(f"extension degree must be >= 1, got {d}")
+    if p > MAX_ORDER or d >= MAX_ORDER.bit_length() or p**d > MAX_ORDER:
+        raise ValueError(f"p^d outside supported range: {p}^{d} > {MAX_ORDER}")
+    if not _is_prime(p):
+        raise ValueError(f"p not prime: {p}")
+
+
 def default_modulus(p: int, d: int) -> tuple[int, ...]:
     """Default modulus for GF(p^d): x for d = 1, else the shipped table entry."""
+    _check_order(p, d)
     if d == 1:
         return (0, 1)
     try:
@@ -126,13 +138,8 @@ class Field:
     """
 
     def __init__(self, p: int, d: int = 1, modulus=None):
-        if not _is_prime(p):
-            raise ValueError(f"p not prime: {p}")
-        if d < 1:
-            raise ValueError(f"extension degree must be >= 1, got {d}")
+        _check_order(p, d)
         q = p**d
-        if q > MAX_ORDER:
-            raise ValueError(f"p^d outside supported range: {q} > {MAX_ORDER}")
         if modulus is None:
             modulus = default_modulus(p, d)
         modulus = tuple(int(c) % p for c in modulus)
@@ -321,9 +328,9 @@ _field_cache: dict[tuple, Field] = {}
 
 def make_field(p: int, d: int = 1, modulus=None) -> Field:
     """Construct (or fetch a cached) GF(p^d); deterministic for given inputs."""
-    if modulus is None and d >= 1 and _is_prime(p) and p**d <= MAX_ORDER:
+    if modulus is None:
         modulus = default_modulus(p, d)
-    key = (p, d, tuple(modulus) if modulus is not None else None)
+    key = (p, d, tuple(modulus))
     field = _field_cache.get(key)
     if field is None:
         field = Field(p, d, modulus)
@@ -333,8 +340,8 @@ def make_field(p: int, d: int = 1, modulus=None) -> Field:
 
 def field_for_order(q: int) -> Field:
     """GF(q) with the default modulus, factoring q = p^d."""
-    if q < 2:
-        raise ValueError(f"q must be a prime power >= 2, got {q}")
+    if not 2 <= q <= MAX_ORDER:
+        raise ValueError(f"q must be a prime power in [2, {MAX_ORDER}], got {q}")
     p = next(i for i in range(2, q + 1) if q % i == 0)
     d, t = 0, q
     while t % p == 0:
@@ -353,6 +360,7 @@ def field_from_q_spec(spec: str) -> Field:
         p, d, mod_id = int(p_str), int(d_str), int(mod_id)
     except ValueError:
         raise ValueError(f"malformed q-spec: {spec!r}") from None
+    _check_order(p, d)
     coeffs, t = [], mod_id
     for _ in range(d + 1):
         coeffs.append(t % p)

@@ -34,12 +34,13 @@ Pruning, both rules always on:
   still exact.
 
 Budgets: `search_exact` splits the second points into spans (one, or
-4 * workers in a pool of min(workers, CPUs) processes), each searched with
-one `_Run` record.  A span is the DFS's first level, from the origin, over
-a window of second points; every allowed point above the window's start
-still counts toward the size bound, so the pruning is that of the unsplit
-search.  One deadline on the system-wide monotonic clock bounds the whole
-run; `max_nodes` applies to each span.
+4 * workers in a pool of min(workers, CPUs) processes).  A span is one
+`_Run` record: the DFS from the origin whose first level is a window of
+second points; every allowed point above the window's start still counts
+toward the size bound, so the pruning is that of the unsplit search.
+`_Run.visit` makes every stop decision: at the cap, past the span's
+`max_nodes`, or past the one deadline on the system-wide monotonic clock
+that bounds the whole run.  `max_seconds` must be >= 0.
 
 Certificates are JSON files carrying the witness and enough provenance to
 re-verify from scratch; `verify_certificate` re-runs both the geometric and
@@ -113,10 +114,10 @@ def _setup(n: int, q, m: int):
     of more than AMBIENT_LIMIT points."""
     field = q if isinstance(q, Field) else field_for_order(q)
     _check_m_range(m, n)
-    total = field.q**n
-    if total > AMBIENT_LIMIT:
-        raise ValueError(f"ambient too large for search: q^n = {total}")
-    return field, total, refined_bound(n, field.q, m) if m >= 4 else None
+    # q^n >= 2^n, so a large n is refused before q^n is computed
+    if n >= AMBIENT_LIMIT.bit_length() or field.q**n > AMBIENT_LIMIT:
+        raise ValueError(f"ambient too large for search: q^n = {field.q}^{n} > {AMBIENT_LIMIT}")
+    return field, field.q**n, refined_bound(n, field.q, m) if m >= 4 else None
 
 
 def _decode(q: int, n: int, code: int) -> tuple[int, ...]:
@@ -129,39 +130,49 @@ def _decode(q: int, n: int, code: int) -> tuple[int, ...]:
 
 
 class _Run:
-    """One span's run: node and time budget, best set found and the cap."""
+    """One span of the exact search, sets {0, s, ...} with s in [lo, hi), and
+    its record: budgets, cap, nodes counted, whether it stopped, best set."""
 
-    __slots__ = ("nodes", "max_nodes", "deadline", "exhausted", "cap", "size", "witness")
+    __slots__ = ("field", "n", "m", "lo", "hi", "max_nodes", "deadline", "cap",
+                 "nodes", "stopped", "size", "witness")
 
-    def __init__(self, max_nodes: int, deadline: float, cap: int | None):
-        self.nodes = 0
+    def __init__(self, field: Field, n: int, m: int, lo: int, hi: int,
+                 max_nodes: int, deadline: float, cap: int | None):
+        self.field, self.n, self.m = field, n, m
+        self.lo, self.hi = lo, hi
         self.max_nodes = max_nodes
         self.deadline = deadline
-        self.exhausted = False
         self.cap = cap
-        self.size = 0
-        self.witness: list[int] = []
+        self.nodes = 0
+        self.stopped = False
+        self.size = 1  # the origin; a cap, where there is one, is at least 2
+        self.witness = [0]
 
-    def tick(self) -> bool:
-        """Count a node; True while within budget."""
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            self.exhausted = True
-        elif self.nodes % 1024 == 1 and time.monotonic() > self.deadline:
-            self.exhausted = True
-        return not self.exhausted
+    def visit(self, codes: list[int]) -> bool:
+        """Keep codes if larger than the best; True to search below them.
 
-    def offer(self, codes: list[int]) -> None:
-        """Keep codes if larger than the best; stop the run at the cap."""
+        False, with `stopped` set, at the cap (the node is not counted),
+        past the node budget or past the deadline.
+        """
         if len(codes) > self.size:
             self.size = len(codes)
             self.witness = list(codes)
             if self.cap is not None and self.size >= self.cap:
-                raise _CapReached
+                self.stopped = True
+                return False
+        self.nodes += 1
+        if self.nodes > self.max_nodes:
+            self.stopped = True
+        elif self.nodes % 1024 == 1 and time.monotonic() > self.deadline:
+            self.stopped = True
+        return not self.stopped
 
-
-class _CapReached(Exception):
-    pass
+    def run(self) -> _Run:
+        """The DFS from the origin, its first level the window; returns self."""
+        kernel = _kernel(self.field, self.n, self.m)  # built here: it does not pickle
+        window = (1 << self.hi) - (1 << self.lo)
+        _dfs(kernel, kernel.extend(kernel.empty, 0), [0], self, self.lo, window)
+        return self
 
 
 # -- blocked-set kernels -----------------------------------------------------------
@@ -278,35 +289,16 @@ def _dfs(kernel, state, codes, run, floor, window):
         low = allowed & -allowed
         p = low.bit_length() - 1
         codes.append(p)
-        run.offer(codes)
-        if run.tick():
+        if run.visit(codes):
             _dfs(kernel, extend(state, p), codes, run, p + 1, kernel.full)
         codes.pop()
-        if run.exhausted:
+        if run.stopped:
             return
         allowed ^= low
         remaining -= 1
 
 
 # -- drivers -----------------------------------------------------------------------
-
-
-def _run_span(span):
-    """Explore all sets {0, s, ...} with second point s in [second_lo, second_hi):
-    the DFS from the origin, its first level the window of second points.
-
-    Returns (best_size, witness_codes, nodes, exhausted).
-    """
-    field, n, m, second_lo, second_hi, max_nodes, deadline, cap = span
-    run = _Run(max_nodes, deadline, cap)
-    kernel = _kernel(field, n, m)
-    window = (1 << second_hi) - (1 << second_lo)
-    try:
-        run.offer([0])
-        _dfs(kernel, kernel.extend(kernel.empty, 0), [0], run, second_lo, window)
-    except _CapReached:
-        pass
-    return run.size, run.witness, run.nodes, run.exhausted
 
 
 def _make_certificate(field, n, m, codes, bound, **fields) -> SearchCertificate:
@@ -337,35 +329,36 @@ def search_exact(
 
     exact=True in the result means the value is the true maximum; on
     exhausted limits the certificate carries the best witness found so far
-    with exact=False.  max_seconds bounds the whole run, max_nodes each of
-    the 4 * workers spans when workers > 1.
+    with exact=False.  max_seconds (>= 0) bounds the whole run, max_nodes
+    each of the 4 * workers spans when workers > 1.
     """
+    if not max_seconds >= 0:  # also refuses NaN, which no clock exceeds
+        raise ValueError(f"need max_seconds >= 0, got {max_seconds}")
     field, total, bound = _setup(n, q, m)
     cap = integer_cap(n, field.q, m) if m >= 4 else None
 
     deadline = time.monotonic() + max_seconds
     chunk = total - 1 if workers <= 1 else max(1, -(-(total - 1) // (workers * 4)))
-    spans = [
-        (field, n, m, lo, min(lo + chunk, total), max_nodes, deadline, cap)
+    runs = [
+        _Run(field, n, m, lo, min(lo + chunk, total), max_nodes, deadline, cap)
         for lo in range(1, total, chunk)
     ]
     if workers <= 1:
-        results = list(map(_run_span, spans))
+        runs = list(map(_Run.run, runs))
     else:
         # the spans depend on workers alone; a pool starts all its processes at once
         with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            results = list(pool.map(_run_span, spans))
-    size, witness, _, _ = max(results, key=lambda r: r[0])  # the first span of the best size
-    nodes = sum(r[2] for r in results)
-    exhausted = any(r[3] for r in results)
+            runs = list(pool.map(_Run.run, runs))
+    best = max(runs, key=lambda r: r.size)  # the first span of the best size
 
-    exact = (not exhausted) or (cap is not None and size >= cap)
+    exact = not any(r.stopped for r in runs) or (cap is not None and best.size >= cap)
     reductions = ["fix-origin", "canonical-order"]
     if cap is not None:
         reductions.append("refined-bound-cap")
     reductions.append("best-prune")
     return _make_certificate(
-        field, n, m, witness, bound, exact=exact, nodes_explored=nodes,
+        field, n, m, best.witness, bound, exact=exact,
+        nodes_explored=sum(r.nodes for r in runs),
         seed=None, restarts=None, reductions=tuple(reductions),
     )
 
@@ -452,15 +445,13 @@ def read_certificate(path) -> SearchCertificate:
     return cert
 
 
-def verify_certificate(cert) -> bool:
+def verify_certificate(cert: SearchCertificate) -> bool:
     """Re-verify a certificate from scratch.
 
-    Raises MalformedCertificateError / AmbientMismatchError for files that
-    cannot be interpreted; returns False when the witness or the claimed
+    Raises MalformedCertificateError / AmbientMismatchError for certificates
+    that cannot be interpreted; returns False when the witness or the claimed
     value fails re-verification.
     """
-    if not isinstance(cert, SearchCertificate):
-        cert = read_certificate(cert)
     try:
         field = field_from_q_spec(cert.q_spec)
     except ValueError as e:

@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
 
+import mgeneral
 from mgeneral import cli
 from mgeneral.affine import read_point_set
 
@@ -338,12 +343,13 @@ _HUGE_N = 10**20
     (None, ["bounds", "--q", "65536", "--m", "4", "--n", "3"], 0),
     (None, ["bounds", "--q", "2", "--m", "342", "--n", "4"], 0),
     (None, ["bounds", "--q", "3", "--m", "100000", "--n", "3"], 0),
+    (None, ["search", "--n", "4", "--q", "3", "--m", "3", "--max-nodes", "1000", "--max-seconds", "nan"], 2),
 ], ids=["witness-int", "witness-list", "value-1e400", "n-1e400", "m-1e400", "check-huge-n",
-        "verify-huge-n", "bounds-q65536", "bounds-m342", "bounds-m100000"])
+        "verify-huge-n", "bounds-q65536", "bounds-m342", "bounds-m100000", "search-nan-seconds"])
 def test_edge_inputs_exit_cleanly(capsys, tmp_path, cert, argv, expected):
-    """Malformed certificates, a huge n in sets and certificates, and bounds
-    at extreme (q, m) end in an exit code within 5 s, with no exception
-    escaping cli.main and no value printed as inf."""
+    """Malformed certificates, a huge n in sets and certificates, bounds at
+    extreme (q, m) and a NaN time budget end in an exit code within 5 s, with
+    no exception escaping cli.main and no value printed as inf."""
     if cert is not None:
         path = tmp_path / "input"
         path.write_text(cert)
@@ -353,3 +359,45 @@ def test_edge_inputs_exit_cleanly(capsys, tmp_path, cert, argv, expected):
     assert time.perf_counter() - start < 5
     assert code == expected, err
     assert "inf" not in out
+
+
+def test_refined_bound_note_makes_no_claim(capsys):
+    # for a large k the refined value (at least k - 1) exceeds the counting bound
+    code, out, _ = run(capsys, "bounds", "--q", "3", "--m", "100000", "--n", "3")
+    assert code == 0
+    line = next(ln for ln in out.splitlines() if "refined bound" in ln)
+    assert "tighter" not in line
+    assert "largest x with L C(x, k) <= q^n" in line
+
+
+_HUGE_D = "100000000000000000000"
+_HUGE_P = "1000000000000000003"
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("setfile, argv", [
+    (None, ["bounds", "--q", "1000000007", "--m", "4", "--n", "3"]),
+    (None, ["search", "--n", "4", "--q", f"2^{_HUGE_D}", "--m", "4"]),
+    (None, ["construct", "--n", _HUGE_D]),
+    (None, ["search", "--n", "2", "--q", f"{_HUGE_P}^1", "--m", "3"]),
+    (f"2^{_HUGE_D}:3 4 4", ["verify"]),
+    (f"{_HUGE_P}^1:{_HUGE_P} 2 3", ["verify"]),
+    (None, ["search", "--n", _HUGE_D, "--q", "2", "--m", "4"]),
+], ids=["bounds-huge-q", "search-huge-d", "construct-huge-n", "search-huge-p",
+        "verify-huge-d", "verify-huge-p", "search-huge-n"])
+def test_oversized_inputs_refused_at_once(tmp_path, setfile, argv):
+    """A field or ambient too large to support is refused before its size
+    is computed: exit 2 within seconds, in a process with 1 GiB of memory."""
+    if setfile is not None:
+        path = tmp_path / "set.txt"
+        path.write_text(f"format=1\n{setfile}\n")
+        argv = [*argv, str(path)]
+    src = os.path.dirname(os.path.dirname(mgeneral.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "mgeneral", *argv], capture_output=True,
+                          text=True, timeout=10, env=env, preexec_fn=_limit_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:")

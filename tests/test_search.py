@@ -79,6 +79,29 @@ def test_expired_deadline_stops_every_span_at_its_first_node():
     assert cert.nodes_explored <= 8
 
 
+@pytest.mark.parametrize("max_seconds", [float("nan"), -1.0])
+def test_max_seconds_must_be_nonnegative(max_seconds):
+    # no clock reading exceeds a NaN deadline, so NaN would switch it off
+    with pytest.raises(ValueError, match="max_seconds"):
+        search_exact(4, 3, 3, max_nodes=1000, max_seconds=max_seconds)
+
+
+@pytest.mark.parametrize("n, q, m, kwargs, expected", [
+    (4, 2, 4, {}, (6, True, 4)),  # stops at the cap
+    (5, 2, 4, {}, (7, True, 117150)),
+    (5, 2, 4, {"workers": 2}, (7, True, 117185)),
+    (3, 3, 4, {}, (5, True, 2722)),
+    (3, 3, 4, {"workers": 2}, (5, True, 2734)),
+    (2, 5, 3, {}, (6, True, 890)),
+    (4, 3, 3, {"max_nodes": 60}, (18, False, 61)),
+], ids=["q2n4m4", "q2n5m4", "q2n5m4w2", "q3n3m4", "q3n3m4w2", "q5n2m3", "q3n4m3lim"])
+def test_exact_search_node_counts(n, q, m, kwargs, expected):
+    # the stop rule fixes these: the node that reaches the cap is not counted,
+    # and a span stops on the node past its budget
+    cert = search_exact(n, q, m, **kwargs)
+    assert (cert.value, cert.exact, cert.nodes_explored) == expected
+
+
 def test_worker_partition_determinism(f3):
     seq = search_exact(2, f3, 3)
     par = search_exact(2, f3, 3, workers=2)
