@@ -55,9 +55,11 @@ def _parse_q(text: str):
     """Accept a prime power (`9`), a `p^d` pair, or a full q-spec tag."""
     if ":" in text:
         return field_from_q_spec(text)
-    if "^" in text:
-        p_str, d_str = text.split("^")
-        return make_field(int(p_str), int(d_str))
+    parts = text.split("^")
+    if len(parts) > 2:
+        raise ValueError(f"malformed q: {text!r}")
+    if len(parts) == 2:
+        return make_field(int(parts[0]), int(parts[1]))
     return field_for_order(int(text))
 
 

@@ -330,20 +330,22 @@ def search_exact(
     exact=True in the result means the value is the true maximum; on
     exhausted limits the certificate carries the best witness found so far
     with exact=False.  max_seconds (>= 0) bounds the whole run, max_nodes
-    each of the 4 * workers spans when workers > 1.
+    each of the 4 * workers spans when workers (>= 1) is above 1.
     """
     if not max_seconds >= 0:  # also refuses NaN, which no clock exceeds
         raise ValueError(f"need max_seconds >= 0, got {max_seconds}")
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     field, total, bound = _setup(n, q, m)
     cap = integer_cap(n, field.q, m) if m >= 4 else None
 
     deadline = time.monotonic() + max_seconds
-    chunk = total - 1 if workers <= 1 else max(1, -(-(total - 1) // (workers * 4)))
+    chunk = total - 1 if workers == 1 else max(1, -(-(total - 1) // (workers * 4)))
     runs = [
         _Run(field, n, m, lo, min(lo + chunk, total), max_nodes, deadline, cap)
         for lo in range(1, total, chunk)
     ]
-    if workers <= 1:
+    if workers == 1:
         runs = list(map(_Run.run, runs))
     else:
         # the spans depend on workers alone; a pool starts all its processes at once
@@ -417,6 +419,15 @@ def write_certificate(path, cert: SearchCertificate) -> None:
         fh.write(certificate_to_json(cert))
 
 
+def _typed(doc: dict, key: str, kind: type):
+    """doc[key] if its JSON type is kind exactly: a bool is no integer here,
+    and a float or string is never rounded or parsed into one."""
+    value = doc[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def read_certificate(path) -> SearchCertificate:
     with _path_or_stream(path) as fh:
         text = fh.read()
@@ -427,13 +438,13 @@ def read_certificate(path) -> SearchCertificate:
             tuple(int(tok) for tok in line.split()) for line in doc["witness"]
         )
         cert = SearchCertificate(
-            n=int(params["n"]),
+            n=_typed(params, "n", int),
             q_spec=str(params["q_spec"]),
-            m=int(params["m"]),
-            value=int(doc["value"]),
-            exact=bool(doc["exact"]),
+            m=_typed(params, "m", int),
+            value=_typed(doc, "value", int),
+            exact=_typed(doc, "exact", bool),
             witness=witness,
-            nodes_explored=int(doc["nodes_explored"]),
+            nodes_explored=_typed(doc, "nodes_explored", int),
             prune_bound_used=doc.get("prune_bound_used"),
             seed=doc.get("seed"),
             restarts=doc.get("restarts"),

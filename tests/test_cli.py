@@ -332,24 +332,37 @@ _CERT = ('{{"format": 1, "params": {{"n": {n}, "q_spec": "2^1:2", "m": {m}}}, "v
 _HUGE_N = 10**20
 
 
-@pytest.mark.parametrize("cert, argv, expected", [
-    (_CERT.format(n=2, m=3, value=1, witness="[5]"), ["check"], 2),
-    (_CERT.format(n=2, m=3, value=1, witness="[[0, 0]]"), ["check"], 2),
-    (_CERT.format(n=2, m=3, value="1e400", witness='["0 0"]'), ["check"], 2),
-    (_CERT.format(n="1e400", m=3, value=1, witness='["0 0"]'), ["check"], 2),
-    (_CERT.format(n=2, m="1e400", value=1, witness='["0 0"]'), ["check"], 2),
-    (_CERT.format(n=_HUGE_N, m=4, value=0, witness="[]"), ["check"], 0),
-    (f"format=1\n2^1:2 {_HUGE_N} 4\n", ["verify"], 0),
-    (None, ["bounds", "--q", "65536", "--m", "4", "--n", "3"], 0),
-    (None, ["bounds", "--q", "2", "--m", "342", "--n", "4"], 0),
-    (None, ["bounds", "--q", "3", "--m", "100000", "--n", "3"], 0),
-    (None, ["search", "--n", "4", "--q", "3", "--m", "3", "--max-nodes", "1000", "--max-seconds", "nan"], 2),
+@pytest.mark.parametrize("cert, argv, expected, message", [
+    (_CERT.format(n=2, m=3, value=1, witness="[5]"), ["check"], 2, "malformed certificate"),
+    (_CERT.format(n=2, m=3, value=1, witness="[[0, 0]]"), ["check"], 2, "malformed certificate"),
+    (_CERT.format(n=2, m=3, value="1e400", witness='["0 0"]'), ["check"], 2, "malformed certificate"),
+    (_CERT.format(n="1e400", m=3, value=1, witness='["0 0"]'), ["check"], 2, "malformed certificate"),
+    (_CERT.format(n=2, m="1e400", value=1, witness='["0 0"]'), ["check"], 2, "malformed certificate"),
+    (_CERT.format(n=_HUGE_N, m=4, value=0, witness="[]"), ["check"], 0, None),
+    (f"format=1\n2^1:2 {_HUGE_N} 4\n", ["verify"], 0, None),
+    (None, ["bounds", "--q", "65536", "--m", "4", "--n", "3"], 0, None),
+    (None, ["bounds", "--q", "2", "--m", "342", "--n", "4"], 0, None),
+    (None, ["bounds", "--q", "3", "--m", "100000", "--n", "3"], 0, None),
+    (None, ["search", "--n", "4", "--q", "3", "--m", "3", "--max-nodes", "1000", "--max-seconds", "nan"], 2,
+     "need max_seconds >= 0, got nan"),
+    # each of these three is otherwise a VALID certificate once its field is coerced
+    (_CERT.format(n=2, m=3, value=1.9, witness='["0 0"]'), ["check"], 2, "value must be int, got 1.9"),
+    (_CERT.format(n=2, m=3, value=1, witness='["0 0"]').replace("false", '"false"'), ["check"], 2,
+     "exact must be bool, got 'false'"),
+    (_CERT.format(n=4.7, m=3, value=1, witness='["0 0 0 0"]'), ["check"], 2, "n must be int, got 4.7"),
+    (None, ["search", "--n", "2", "--q", "2", "--m", "3", "--workers", "0"], 2, "need workers >= 1, got 0"),
+    (None, ["search", "--n", "2", "--q", "2", "--m", "3", "--workers", "-1"], 2, "need workers >= 1, got -1"),
+    (None, ["search", "--n", "2", "--q", "2^2^2", "--m", "3"], 2, "malformed q: '2^2^2'"),
 ], ids=["witness-int", "witness-list", "value-1e400", "n-1e400", "m-1e400", "check-huge-n",
-        "verify-huge-n", "bounds-q65536", "bounds-m342", "bounds-m100000", "search-nan-seconds"])
-def test_edge_inputs_exit_cleanly(capsys, tmp_path, cert, argv, expected):
+        "verify-huge-n", "bounds-q65536", "bounds-m342", "bounds-m100000", "search-nan-seconds",
+        "value-float", "exact-string", "n-float", "search-workers-0", "search-workers-negative",
+        "search-q-two-carets"])
+def test_edge_inputs_exit_cleanly(capsys, tmp_path, cert, argv, expected, message):
     """Malformed certificates, a huge n in sets and certificates, bounds at
-    extreme (q, m) and a NaN time budget end in an exit code within 5 s, with
-    no exception escaping cli.main and no value printed as inf."""
+    extreme (q, m), a NaN time budget, a non-positive worker count and a
+    malformed q end in an exit code within 5 s, with no exception escaping
+    cli.main, no value printed as inf and, on exit 2, an error naming the
+    bad input."""
     if cert is not None:
         path = tmp_path / "input"
         path.write_text(cert)
@@ -359,6 +372,8 @@ def test_edge_inputs_exit_cleanly(capsys, tmp_path, cert, argv, expected):
     assert time.perf_counter() - start < 5
     assert code == expected, err
     assert "inf" not in out
+    if message is not None:
+        assert err.startswith("error: ") and message in err, err
 
 
 def test_refined_bound_note_makes_no_claim(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -112,12 +113,38 @@ def test_sidon_graph_rejects_non_apn(f8):
         sidon_graph(square)
 
 
+def test_sidon_graph_accepts_exactly_apn_tables():
+    # sidon_graph checks only 4-generality; it must agree with the APN count
+    rng = random.Random(1998)
+    tables = []
+    for d in range(1, 8):
+        f = make_field(2, d)
+        exponents = [2**i + 1 for i in range(1, d)]  # Gold: APN iff gcd(i, d) = 1
+        exponents += [2**d - 2, 2]  # inverse: APN iff d is odd; x^2: never for d > 1
+        tables += [FunctionTable(f, tuple(f.pow(x, e) for x in f.elements())) for e in exponents]
+        tables += [FunctionTable(f, tuple(rng.randrange(f.q) for _ in range(f.q))) for _ in range(3)]
+    verdicts = Counter()
+    for table in tables:
+        apn, worst = apn_by_counting(table)
+        verdicts[apn] += 1
+        if apn:
+            assert len(sidon_graph(table)) == table.field.q
+        else:
+            with pytest.raises(ValueError) as refusal:
+                sidon_graph(table)
+            assert str(refusal.value) == f"function is not APN (max solution count {worst})"
+    assert verdicts[True] >= 5 and verdicts[False] >= 5, verdicts
+
+
 def test_lower_bound_sizes_small():
     for n in range(2, 13):
         A = lower_bound_4general(n)
         assert len(A) == 2 ** (n // 2)
         assert A.n == n
         assert len(A) >= 2 ** (n / 2) / math.sqrt(2)
+    for n in range(3, 14, 2):  # odd n: the n - 1 set with a trailing 0 coordinate
+        base = lower_bound_4general(n - 1)
+        assert lower_bound_4general(n).points == tuple(p + (0,) for p in base.points)
     with pytest.raises(ValueError, match="n >= 2"):
         lower_bound_4general(1)
 
