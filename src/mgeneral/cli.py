@@ -28,13 +28,7 @@ from .bounds import (
     table2_rows,
 )
 from .constructions import lower_bound_4general
-from .field import (
-    MODULUS_TABLE_ENV,
-    field_for_order,
-    field_from_q_spec,
-    make_field,
-    reload_modulus_tables,
-)
+from .field import MODULUS_TABLE_ENV, field_for_order, field_from_q_spec, make_field
 from .search import (
     DEFAULT_MAX_NODES,
     DEFAULT_MAX_SECONDS,
@@ -55,12 +49,15 @@ def _parse_q(text: str):
     """Accept a prime power (`9`), a `p^d` pair, or a full q-spec tag."""
     if ":" in text:
         return field_from_q_spec(text)
-    parts = text.split("^")
-    if len(parts) > 2:
+    try:
+        parts = [int(part) for part in text.split("^")]
+    except ValueError:
+        parts = []
+    if not 1 <= len(parts) <= 2:
         raise ValueError(f"malformed q: {text!r}")
     if len(parts) == 2:
-        return make_field(int(parts[0]), int(parts[1]))
-    return field_for_order(int(text))
+        return make_field(*parts)
+    return field_for_order(parts[0])
 
 
 def cmd_verify(args) -> int:
@@ -230,7 +227,6 @@ def main(argv=None) -> int:
     saved = os.environ.get(MODULUS_TABLE_ENV)
     if args.moduli:
         os.environ[MODULUS_TABLE_ENV] = args.moduli
-        reload_modulus_tables()
     try:
         return args.func(args)
     except (ValueError, OSError) as e:
@@ -241,7 +237,6 @@ def main(argv=None) -> int:
             os.environ.pop(MODULUS_TABLE_ENV)
             if saved is not None:
                 os.environ[MODULUS_TABLE_ENV] = saved
-            reload_modulus_tables()
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ construction time, so a Field instance is immutable and cheap to share.
 
 from __future__ import annotations
 
+import functools
 import os
 from importlib import resources
 
@@ -19,10 +20,6 @@ __all__ = ["Field", "make_field", "load_modulus_table", "default_modulus"]
 MAX_ORDER = 1 << 16
 
 MODULUS_TABLE_ENV = "MGENERAL_MODULI"
-
-# (p, d) -> modulus coefficient tuple, low degree first; populated lazily
-# from the packaged table plus any file named by MGENERAL_MODULI.
-_default_table: dict[tuple[int, int], tuple[int, ...]] | None = None
 
 
 def _is_prime(p: int) -> bool:
@@ -40,7 +37,7 @@ def _poly_rem(num, den, p: int) -> list[int]:
     """Remainder of num mod den, coefficient lists low-to-high."""
     num = list(num)
     dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p) if p > 2 else den[-1]
+    inv_lead = pow(den[-1], -1, p)
     while True:
         while num and num[-1] == 0:
             num.pop()
@@ -90,22 +87,19 @@ def load_modulus_table(path: str) -> dict[tuple[int, int], tuple[int, ...]]:
         return _parse_table_lines(fh)
 
 
-def _builtin_table() -> dict[tuple[int, int], tuple[int, ...]]:
-    global _default_table
-    if _default_table is None:
-        text = resources.files("mgeneral.data").joinpath("moduli.txt").read_text()
-        table = _parse_table_lines(text.splitlines())
-        env_path = os.environ.get(MODULUS_TABLE_ENV)
-        if env_path:
-            table.update(load_modulus_table(env_path))
-        _default_table = table
-    return _default_table
+@functools.cache
+def _modulus_table(path: str) -> dict[tuple[int, int], tuple[int, ...]]:
+    """(p, d) -> modulus coefficient tuple, low degree first: the packaged
+    table with the entries of the file at path, if path is not empty, over it.
 
-
-def reload_modulus_tables() -> None:
-    """Drop the cached default table so MGENERAL_MODULI is re-read."""
-    global _default_table
-    _default_table = None
+    Each path is read once per process, so a table file edited in place
+    after its first use is not re-read; a new path is.
+    """
+    text = resources.files("mgeneral.data").joinpath("moduli.txt").read_text()
+    table = _parse_table_lines(text.splitlines())
+    if path:
+        table.update(load_modulus_table(path))
+    return table
 
 
 def _check_order(p: int, d: int) -> None:
@@ -120,12 +114,13 @@ def _check_order(p: int, d: int) -> None:
 
 
 def default_modulus(p: int, d: int) -> tuple[int, ...]:
-    """Default modulus for GF(p^d): x for d = 1, else the shipped table entry."""
+    """Default modulus for GF(p^d): x for d = 1, else the entry of the table
+    named by MGENERAL_MODULI, read at every call, or of the shipped table."""
     _check_order(p, d)
     if d == 1:
         return (0, 1)
     try:
-        return _builtin_table()[(p, d)]
+        return _modulus_table(os.environ.get(MODULUS_TABLE_ENV, ""))[(p, d)]
     except KeyError:
         raise ValueError(f"no default modulus for p={p} d={d}") from None
 
@@ -323,19 +318,15 @@ class Field:
         return make_field, (self.p, self.d, self.modulus)
 
 
-_field_cache: dict[tuple, Field] = {}
+# one Field per (p, d, modulus tuple) for the life of the process
+_cached_field = functools.cache(Field)
 
 
 def make_field(p: int, d: int = 1, modulus=None) -> Field:
     """Construct (or fetch a cached) GF(p^d); deterministic for given inputs."""
     if modulus is None:
         modulus = default_modulus(p, d)
-    key = (p, d, tuple(modulus))
-    field = _field_cache.get(key)
-    if field is None:
-        field = Field(p, d, modulus)
-        _field_cache[key] = field
-    return field
+    return _cached_field(p, d, tuple(modulus))
 
 
 def field_for_order(q: int) -> Field:

@@ -40,7 +40,7 @@ second points; every allowed point above the window's start still counts
 toward the size bound, so the pruning is that of the unsplit search.
 `_Run.visit` makes every stop decision: at the cap, past the span's
 `max_nodes`, or past the one deadline on the system-wide monotonic clock
-that bounds the whole run.  `max_seconds` must be >= 0.
+that bounds the whole run, read at every node.  `max_seconds` must be >= 0.
 
 Certificates are JSON files carrying the witness and enough provenance to
 re-verify from scratch; `verify_certificate` re-runs both the geometric and
@@ -161,9 +161,7 @@ class _Run:
                 self.stopped = True
                 return False
         self.nodes += 1
-        if self.nodes > self.max_nodes:
-            self.stopped = True
-        elif self.nodes % 1024 == 1 and time.monotonic() > self.deadline:
+        if self.nodes > self.max_nodes or time.monotonic() > self.deadline:
             self.stopped = True
         return not self.stopped
 

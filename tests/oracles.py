@@ -270,10 +270,13 @@ def brute_force_max(field, n: int, m: int, node_budget: int = 10_000_000,
 
 
 def greedy_reference(field, n: int, m: int, seed: int, restarts: int):
-    """Randomized greedy on the rank-based incremental test
-    `affine.add_point_preserves`, with the package's shuffle: restart r
-    scans the point codes in `random.Random(f"{seed}:{r}")` shuffled order,
-    and the largest result wins, ties going to the lex-least sorted codes.
+    """Randomized greedy on a rank-based incremental test, with the
+    package's shuffle: restart r scans the point codes in
+    `random.Random(f"{seed}:{r}")` shuffled order, and the largest result
+    wins, ties going to the lex-least sorted codes.  The test is
+    `affine.add_point_preserves`, except for q = 2, m = 4, where that is a
+    pair-sum scan like the search kernel and `m_general_oracle` of the
+    chosen points plus the candidate is used instead.
     Returns (value, witness points, candidate checks)."""
     import random
 
@@ -297,8 +300,13 @@ def greedy_reference(field, n: int, m: int, seed: int, restarts: int):
         codes = []
         for code in order:
             checks += 1
-            if add_point_preserves(chosen, decode(code), m):
-                chosen = chosen.with_point(decode(code))
+            pt = decode(code)
+            if q == 2 and m == 4:
+                ok = m_general_oracle(field, chosen.points + (pt,), m)
+            else:
+                ok = add_point_preserves(chosen, pt, m)
+            if ok:
+                chosen = chosen.with_point(pt)
                 codes.append(code)
         codes.sort()
         if len(codes) > len(best) or (len(codes) == len(best) and codes < best):

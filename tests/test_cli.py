@@ -353,10 +353,16 @@ _HUGE_N = 10**20
     (None, ["search", "--n", "2", "--q", "2", "--m", "3", "--workers", "0"], 2, "need workers >= 1, got 0"),
     (None, ["search", "--n", "2", "--q", "2", "--m", "3", "--workers", "-1"], 2, "need workers >= 1, got -1"),
     (None, ["search", "--n", "2", "--q", "2^2^2", "--m", "3"], 2, "malformed q: '2^2^2'"),
+    (None, ["search", "--n", "2", "--q", "x", "--m", "3"], 2, "malformed q: 'x'"),
+    (None, ["bounds", "--q", "2^x", "--m", "4", "--n", "3"], 2, "malformed q: '2^x'"),
+    (None, ["bounds", "--q", "x^2", "--m", "4", "--n", "3"], 2, "malformed q: 'x^2'"),
+    (None, ["search", "--n", "2", "--q", "-3", "--m", "3"], 2,
+     "q must be a prime power in [2, 65536], got -3"),
 ], ids=["witness-int", "witness-list", "value-1e400", "n-1e400", "m-1e400", "check-huge-n",
         "verify-huge-n", "bounds-q65536", "bounds-m342", "bounds-m100000", "search-nan-seconds",
         "value-float", "exact-string", "n-float", "search-workers-0", "search-workers-negative",
-        "search-q-two-carets"])
+        "search-q-two-carets", "search-q-word", "bounds-q-word-exponent", "bounds-q-word-base",
+        "search-q-negative"])
 def test_edge_inputs_exit_cleanly(capsys, tmp_path, cert, argv, expected, message):
     """Malformed certificates, a huge n in sets and certificates, bounds at
     extreme (q, m), a NaN time budget, a non-positive worker count and a

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import random
@@ -21,7 +22,7 @@ from mgeneral.search import (
     verify_certificate,
     write_certificate,
 )
-from oracles import brute_force_max, greedy_reference
+from oracles import brute_force_max, greedy_reference, m_general_oracle
 
 
 def test_trivial_line():
@@ -77,6 +78,15 @@ def test_expired_deadline_stops_every_span_at_its_first_node():
     cert = search_exact(4, 3, 3, workers=2, max_seconds=0.0)
     assert not cert.exact
     assert cert.nodes_explored <= 8
+
+
+def test_clock_read_at_every_node(monkeypatch):
+    # a fake clock one second later at each reading: the deadline 0 + 5 is
+    # passed at the sixth node, which is the last one counted
+    monkeypatch.setattr(search.time, "monotonic", itertools.count().__next__)
+    cert = search_exact(2, 5, 3, max_seconds=5)
+    assert not cert.exact
+    assert cert.nodes_explored == 6
 
 
 @pytest.mark.parametrize("max_seconds", [float("nan"), -1.0])
@@ -232,10 +242,17 @@ def _all_points(q, n):
 @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
 def test_flat_kernel_matches_rank_test(p, d):
     """After each point of a seeded m-general set joins, the kernel's allowed
-    points are exactly those the incremental test accepts (its rank path, or
-    for q = 2, m = 4 the pair-XOR scan)."""
+    points are exactly those the incremental test accepts: its rank path,
+    or for q = 2, m = 4, where that test is a pair-sum scan like the kernel,
+    the elimination of `m_general_oracle` on A + {y}."""
     field = make_field(p, d)
     q = field.q
+
+    def joins(A, y, m):
+        if q == 2 and m == 4:
+            return m_general_oracle(field, A.points + (y,), m)
+        return add_point_preserves(A, y, m)
+
     rng = random.Random(f"flats:{q}")
     for n in (2, 3):
         everything = _all_points(q, n)
@@ -248,13 +265,13 @@ def test_flat_kernel_matches_rank_test(p, d):
                     break
                 x = rng.choice(everything)
                 A = PointSet.of(field, n, pts)
-                if x in A or not add_point_preserves(A, x, m):
+                if x in A or not joins(A, x, m):
                     continue
                 state = kernel.extend(state, A.encode(x))
                 pts.append(x)
                 A = A.with_point(x)
                 allowed = ~state[0] & kernel.full
-                want = {A.encode(y) for y in everything if y not in A and add_point_preserves(A, y, m)}
+                want = {A.encode(y) for y in everything if y not in A and joins(A, y, m)}
                 assert {c for c in range(q**n) if allowed >> c & 1} == want, (n, m, pts)
             assert len(pts) >= min(limit, m - 1), (n, m)
 
