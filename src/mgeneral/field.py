@@ -69,15 +69,19 @@ def is_irreducible(coeffs, p: int) -> bool:
 
 def _parse_table_lines(lines) -> dict[tuple[int, int], tuple[int, ...]]:
     table = {}
-    for raw in lines:
+    for number, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [int(tok) for tok in line.split()]
-        p, d, coeffs = parts[0], parts[1], tuple(parts[2:])
+        try:  # a token that is no integer, or fewer than two tokens
+            p, d, *coeffs = map(int, line.split())
+        except ValueError:
+            raise ValueError(
+                f"modulus table: line {number}: expected integers `p d c_0 ... c_d`, got {line!r}"
+            ) from None
         if len(coeffs) != d + 1:
-            raise ValueError(f"modulus table: bad entry for p={p} d={d}")
-        table[(p, d)] = coeffs
+            raise ValueError(f"modulus table: line {number}: bad entry for p={p} d={d}")
+        table[(p, d)] = tuple(coeffs)
     return table
 
 

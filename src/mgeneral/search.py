@@ -11,20 +11,34 @@ depth, the points that can no longer join A as one big-integer bitmask over
 all q^n point codes, updated by a blocked-set kernel when a point joins;
 the DFS iterates the allowed points above the last chosen one lowest bit
 first and the greedy tests a candidate with one bit of the mask.  No rank
-test runs in the search loop.  (q, m) picks the kernel:
+test runs in the search loop.  (q, n, m) picks the kernel:
 
-* Blocked flats (`_Flats`, every (q, m) but q = 2, m = 4): A + {p} is
-  m-general exactly when p lies in no affine hull of min(m-1, |A|) points of
-  A.  When x joins A, the update ORs in the hulls of {x} + T over the subsets
-  T of A with |T| <= m-2, enumerated as x + sum c_t (t - x) with every c_t
-  nonzero.  Per node this is sum_{j <= m-2} C(|A|, j) (q-1)^j points
-  (|A|(q-1) + 1 for caps), each one vector addition over q x q lookup lists
-  plus its code.
+* Lifted masks (`_Lifted`, n >= 2 and q^(n+1) < AMBIENT_LIMIT): A is
+  m-general iff the lifted vectors (1, t), t in A, have no nontrivial
+  relation on <= m of them, so A + {p} is m-general exactly when (1, p) is
+  no F_q-combination of <= m-1 of them.  The state keeps, for j <= m-2, the
+  mask W_j of all combinations of <= j lifted points over F_q^(n+1).  When x
+  joins, with y = (1, x), the combinations through y are C(W) = W + F_q y:
+  the s = 1 slice of C(W_{m-2}) is blocked and each W_j gains C(W_{j-1}).
+  C(W) is d ceil(log2 p) doublings W |= W + 2^k p^i y, and each translate
+  is one rotation of a base-p digit per nonzero digit of the vector (two
+  ANDs, two shifts, one OR with precomputed masks), so a node costs at most
+  (m-1) d^2 (n+1) ceil(log2 p) rotations of q^(n+1)-bit masks whatever
+  |A| is.  The (n+1) d (p-1) digit masks take 39 MB at q = 101, n = 2.
+* Blocked flats (`_Flats`, the other inputs but q = 2, m = 4: n = 1, or
+  q^(n+1) >= AMBIENT_LIMIT, where the lifted masks cost more than they
+  save): A + {p} is m-general exactly when p lies in no affine hull of
+  min(m-1, |A|) points of A.  When x joins A, the update ORs in the hulls
+  of {x} + T over the subsets T of A with |T| <= m-2, enumerated as
+  x + sum c_t (t - x) with every c_t nonzero.  Per node this is
+  sum_{j <= m-2} C(|A|, j) (q-1)^j points (|A|(q-1) + 1 for caps), each one
+  vector addition over q x q lookup lists plus its code.
 * Pair sums (`_PairSums`, q = 2, m = 4): there the points x + sum c_t (t - x)
   are x xor t xor u, and m-generality is the Sidon condition that all pair
   sums differ.  Adding p to A with pair-sum set S blocks {p} and S xor p (A
   is blocked already) and adds A xor p to S: a few whole-mask XOR translates
-  instead of a walk over the pairs.
+  instead of a walk over the pairs.  `_Lifted` would give the same masks
+  about 3 times slower here.
 
 Pruning, both rules always on:
 * abandon a branch when |A| plus the number of allowed candidates left
@@ -40,7 +54,8 @@ second points; every allowed point above the window's start still counts
 toward the size bound, so the pruning is that of the unsplit search.
 `_Run.visit` makes every stop decision: at the cap, past the span's
 `max_nodes`, or past the one deadline on the system-wide monotonic clock
-that bounds the whole run, read at every node.  `max_seconds` must be >= 0.
+that bounds the whole run, read at every node.  `max_seconds` and
+`max_nodes` must be >= 0.
 
 Certificates are JSON files carrying the witness and enough provenance to
 re-verify from scratch; `verify_certificate` re-runs both the geometric and
@@ -167,7 +182,8 @@ class _Run:
 
     def run(self) -> _Run:
         """The DFS from the origin, its first level the window; returns self."""
-        kernel = _kernel(self.field, self.n, self.m)  # built here: it does not pickle
+        # built in the span's own process: _Flats' lookup closures do not pickle
+        kernel = _kernel(self.field, self.n, self.m)
         window = (1 << self.hi) - (1 << self.lo)
         _dfs(kernel, kernel.extend(kernel.empty, 0), [0], self, self.lo, window)
         return self
@@ -231,6 +247,78 @@ class _Flats:
         return blocked, pts + (x,)
 
 
+class _Lifted:
+    """Lifted secant-mask kernel (see the module docstring) for one
+    (field, n, m), n >= 2 and q^(n+1) < AMBIENT_LIMIT.
+
+    The state is (blocked, W_1, ..., W_{m-2}), W_j a mask over the lifted
+    codes s q^n + code(v) of F_q^(n+1).  A code is (n+1) d base-p digits and
+    addition is digit-wise mod p, so translating a mask by c p^k rotates
+    digit k: `(W & below[k][p-c]) << c p^k | (W >> (p-c) p^k) & below[k][c]`,
+    with below[k][t] the codes whose digit k is under t.  `rots[i][e]` holds
+    these rotations for the nonzero digits of e in coordinate i (0 being s),
+    and `scaled` the rows of lambda * e for the lambda = (2^k mod p) p^i whose
+    translates double a mask up to its closure under the line F_q (1, x).
+    """
+
+    __slots__ = ("full", "empty", "top", "rots", "scaled", "n", "q")
+
+    def __init__(self, field: Field, n: int, m: int):
+        p, d, q = field.p, field.d, field.q
+        self.n, self.q = n, q
+        self.top = q**n
+        self.full = (1 << q**n) - 1
+        self.empty = (0,) + (1,) * (m - 2)  # each W_j = {0}
+        size = q ** (n + 1)
+        below = []
+        for k in range((n + 1) * d):
+            w = p**k
+            masks = [0]
+            for t in range(1, p):
+                mask, period = (1 << t * w) - 1, p * w  # digit k < t, repeated
+                while period < size:
+                    mask |= mask << period
+                    period *= 2
+                masks.append(mask & (1 << size) - 1)
+            below.append(masks)
+        self.rots = []
+        for i in range(n + 1):
+            row = []
+            for e in range(q):
+                rot = []
+                for t in range(d):
+                    c = e // p**t % p
+                    if c:
+                        k = (n - i) * d + t
+                        w = p**k
+                        rot.append((below[k][p - c], c * w, (p - c) * w, below[k][c]))
+                row.append(tuple(rot))
+            self.rots.append(row)
+        doublings = (p - 1).bit_length()  # 2^doublings >= p
+        self.scaled = [[field.mul(pow(2, j, p) * p**i, e) for e in range(q)]
+                       for i in range(d) for j in range(doublings)]
+
+    def extend(self, state, code: int):
+        """The point x with this code joins A, y = (1, x): block the s = 1
+        slice of C(W_{m-2}), then W_j |= C(W_{j-1}) with the old W_{j-1},
+        C(W) being W + F_q y."""
+        blocked, *ws = state
+        coords = (1, *_decode(self.q, self.n, code))
+        rots = self.rots
+        steps = [[r for i, e in enumerate(coords) for r in rots[i][row[e]]]
+                 for row in self.scaled]
+        closed = []
+        for w in (1, *ws):
+            for step in steps:
+                t = w
+                for lo, up, down, hi in step:
+                    t = (t & lo) << up | (t >> down) & hi
+                w |= t
+            closed.append(w)
+        blocked |= closed[-1] >> self.top & self.full
+        return (blocked, *(w | c for w, c in zip(ws, closed)))
+
+
 class _PairSums:
     """Pair-sum kernel for q = 2, m = 4 (see the module docstring).
 
@@ -267,9 +355,12 @@ class _PairSums:
 
 
 def _kernel(field: Field, n: int, m: int):
-    """The blocked-set kernel for (q, m): pair sums for q = 2, m = 4, else flats."""
+    """The blocked-set kernel for (q, n, m): pair sums for q = 2, m = 4, lifted
+    masks for n >= 2 and q^(n+1) < AMBIENT_LIMIT, else flats."""
     if field.q == 2 and m == 4:
         return _PairSums(n)
+    if n >= 2 and field.q ** (n + 1) < AMBIENT_LIMIT:
+        return _Lifted(field, n, m)
     return _Flats(field, n, m)
 
 
@@ -328,12 +419,14 @@ def search_exact(
     exact=True in the result means the value is the true maximum; on
     exhausted limits the certificate carries the best witness found so far
     with exact=False.  max_seconds (>= 0) bounds the whole run, max_nodes
-    each of the 4 * workers spans when workers (>= 1) is above 1.
+    (>= 0) each of the 4 * workers spans when workers (>= 1) is above 1.
     """
     if not max_seconds >= 0:  # also refuses NaN, which no clock exceeds
         raise ValueError(f"need max_seconds >= 0, got {max_seconds}")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
+    if max_nodes < 0:
+        raise ValueError(f"need max_nodes >= 0, got {max_nodes}")
     field, total, bound = _setup(n, q, m)
     cap = integer_cap(n, field.q, m) if m >= 4 else None
 

@@ -330,6 +330,7 @@ def test_cli_fuzz_exit_codes(capsys, tmp_path):
 _CERT = ('{{"format": 1, "params": {{"n": {n}, "q_spec": "2^1:2", "m": {m}}}, "value": {value},'
          ' "exact": false, "witness": {witness}, "nodes_explored": 0}}')
 _HUGE_N = 10**20
+_INPUT = "{input}"
 
 
 @pytest.mark.parametrize("cert, argv, expected, message", [
@@ -358,21 +359,30 @@ _HUGE_N = 10**20
     (None, ["bounds", "--q", "x^2", "--m", "4", "--n", "3"], 2, "malformed q: 'x^2'"),
     (None, ["search", "--n", "2", "--q", "-3", "--m", "3"], 2,
      "q must be a prime power in [2, 65536], got -3"),
+    ("2\n", ["--moduli", _INPUT, "search", "--n", "1", "--q", "8", "--m", "3"], 2,
+     "modulus table: line 1: expected integers `p d c_0 ... c_d`, got '2'"),
+    ("# fields\n2 3 x\n", ["--moduli", _INPUT, "search", "--n", "1", "--q", "8", "--m", "3"], 2,
+     "modulus table: line 2: expected integers `p d c_0 ... c_d`, got '2 3 x'"),
+    (None, ["search", "--n", "2", "--q", "3", "--m", "3", "--max-nodes", "-1"], 2,
+     "need max_nodes >= 0, got -1"),
 ], ids=["witness-int", "witness-list", "value-1e400", "n-1e400", "m-1e400", "check-huge-n",
         "verify-huge-n", "bounds-q65536", "bounds-m342", "bounds-m100000", "search-nan-seconds",
         "value-float", "exact-string", "n-float", "search-workers-0", "search-workers-negative",
         "search-q-two-carets", "search-q-word", "bounds-q-word-exponent", "bounds-q-word-base",
-        "search-q-negative"])
+        "search-q-negative", "moduli-one-number", "moduli-word", "search-max-nodes-negative"])
 def test_edge_inputs_exit_cleanly(capsys, tmp_path, cert, argv, expected, message):
     """Malformed certificates, a huge n in sets and certificates, bounds at
-    extreme (q, m), a NaN time budget, a non-positive worker count and a
-    malformed q end in an exit code within 5 s, with no exception escaping
-    cli.main, no value printed as inf and, on exit 2, an error naming the
-    bad input."""
+    extreme (q, m), a NaN time budget, a non-positive worker count, a
+    negative node budget, a malformed q and a malformed modulus table end in
+    an exit code within 5 s, with no exception escaping cli.main, no value
+    printed as inf and, on exit 2, an error naming the bad input.  The input
+    file goes where argv has _INPUT, else last."""
     if cert is not None:
         path = tmp_path / "input"
         path.write_text(cert)
-        argv = [*argv, str(path)]
+        if _INPUT not in argv:
+            argv = [*argv, _INPUT]
+        argv = [str(path) if a == _INPUT else a for a in argv]
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 5

@@ -4,17 +4,21 @@ import json
 import os
 import random
 import time
+import tracemalloc
 
 import pytest
 
 from mgeneral import search
 from mgeneral.affine import PointSet, add_point_preserves, is_m_general
 from mgeneral.bounds import refined_bound
-from mgeneral.field import make_field
+from mgeneral.field import field_for_order, make_field
 from mgeneral.search import (
     AmbientMismatchError,
     MalformedCertificateError,
+    _Flats,
     _kernel,
+    _Lifted,
+    _PairSums,
     certificate_to_json,
     read_certificate,
     search_exact,
@@ -239,12 +243,20 @@ def _all_points(q, n):
     return [tuple(c // q ** (n - 1 - j) % q for j in range(n)) for c in range(q**n)]
 
 
-@pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
-def test_flat_kernel_matches_rank_test(p, d):
+_GRID = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize(
+    "p,d,kernel",
+    [(p, d, _Lifted) for p, d in _GRID] + [(p, d, _Flats) for p, d in _GRID] + [(2, 1, _PairSums)],
+    ids=[f"{p}-{d}" for p, d in _GRID] + [f"flats-{p}-{d}" for p, d in _GRID] + ["pairsums-2-1"],
+)
+def test_flat_kernel_matches_rank_test(p, d, kernel):
     """After each point of a seeded m-general set joins, the kernel's allowed
     points are exactly those the incremental test accepts: its rank path,
-    or for q = 2, m = 4, where that test is a pair-sum scan like the kernel,
-    the elimination of `m_general_oracle` on A + {y}."""
+    or for q = 2, m = 4, where that test is a pair-sum scan like `_PairSums`,
+    the elimination of `m_general_oracle` on A + {y}.  Each kernel is built
+    directly, whichever one `_kernel` would pick."""
     field = make_field(p, d)
     q = field.q
 
@@ -256,10 +268,10 @@ def test_flat_kernel_matches_rank_test(p, d):
     rng = random.Random(f"flats:{q}")
     for n in (2, 3):
         everything = _all_points(q, n)
-        for m in range(3, n + 3):
-            kernel = _kernel(field, n, m)
+        for m in [4] if kernel is _PairSums else range(3, n + 3):
+            blocks = kernel(n) if kernel is _PairSums else kernel(field, n, m)
             limit = m + (1 if q**n > 100 else 3)
-            pts, state = [], kernel.empty
+            pts, state = [], blocks.empty
             for _ in range(50 * limit):
                 if len(pts) == limit:
                     break
@@ -267,13 +279,38 @@ def test_flat_kernel_matches_rank_test(p, d):
                 A = PointSet.of(field, n, pts)
                 if x in A or not joins(A, x, m):
                     continue
-                state = kernel.extend(state, A.encode(x))
+                state = blocks.extend(state, A.encode(x))
                 pts.append(x)
                 A = A.with_point(x)
-                allowed = ~state[0] & kernel.full
+                allowed = ~state[0] & blocks.full
                 want = {A.encode(y) for y in everything if y not in A and joins(A, y, m)}
                 assert {c for c in range(q**n) if allowed >> c & 1} == want, (n, m, pts)
             assert len(pts) >= min(limit, m - 1), (n, m)
+
+
+def test_kernel_choice_at_the_ambient_limit(monkeypatch):
+    """Lifted masks exactly for n >= 2 and q^(n+1) < AMBIENT_LIMIT = 2^20;
+    pair sums for q = 2, m = 4; flats otherwise, with no lifted mask built."""
+    f2 = make_field(2)
+    tracemalloc.start()
+    flats = _kernel(f2, 19, 3)  # 2^20 lifted codes: at the limit
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert isinstance(flats, _Flats)
+    # _Lifted would hold 20 digit masks of 2^20 bits (2.5 MiB); the flats'
+    # blocked masks have 2^19 bits
+    assert peak < 2 * (1 << 20) // 8
+    assert isinstance(_kernel(f2, 18, 3), _Lifted)
+    assert isinstance(_kernel(f2, 18, 4), _PairSums)
+
+    # a stand-in records each lifted kernel asked for, so 101^3 builds no masks
+    built = []
+    monkeypatch.setattr(search, "_Lifted", lambda field, n, m: built.append((field.q, n, m)))
+    assert _kernel(make_field(101), 2, 3) is None  # 101^3 = 1,030,301: just below
+    assert built == [(101, 2, 3)]
+    for q, n in [(4, 9), (32, 3), (3, 1), (9, 1), (101, 1)]:  # at the limit, or n = 1
+        assert isinstance(_kernel(field_for_order(q), n, 3), _Flats), (q, n)
+    assert built == [(101, 2, 3)]
 
 
 def test_exact_cap_in_ag33():
