@@ -97,4 +97,4 @@ def lower_bound_4general(n: int) -> PointSet:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     A = sidon_graph(cube_function(make_field(2, n // 2)))
-    return PointSet.of(A.field, n, [p + (0,) * (n % 2) for p in A.points])
+    return PointSet.of(A.field, n, [p + (0,) for p in A.points]) if n % 2 else A

@@ -10,9 +10,18 @@ One DFS and one randomized greedy run for every (q, m).  Each keeps, per
 depth, the points that can no longer join A as one big-integer bitmask over
 all q^n point codes, updated by a blocked-set kernel when a point joins;
 the DFS iterates the allowed points above the last chosen one lowest bit
-first and the greedy tests a candidate with one bit of the mask.  No rank
-test runs in the search loop.  (q, n, m) picks the kernel:
+first, and the greedy reads a candidate's bit in a `bytes` copy of the mask
+made when a point joins, O(1) per candidate.  No rank test runs in the
+search loop.  Over F_2 an affine relation has even support, so m-general is
+2k-general for k = floor(m/2) and the kernel is built for m = 2k.  (q, n, m)
+picks the kernel:
 
+* Pair sums (`_PairSums`, q = 2, k = 2): there the points x + sum c_t (t - x)
+  are x xor t xor u, and m-generality is the Sidon condition that all pair
+  sums differ.  Adding p to A with pair-sum set S blocks {p} and S xor p (A
+  is blocked already) and adds A xor p to S: a few whole-mask XOR translates
+  instead of a walk over the pairs.  `_Lifted` would give the same masks
+  about 3.6 times slower here.
 * Lifted masks (`_Lifted`, n >= 2 and q^(n+1) < AMBIENT_LIMIT): A is
   m-general iff the lifted vectors (1, t), t in A, have no nontrivial
   relation on <= m of them, so A + {p} is m-general exactly when (1, p) is
@@ -25,20 +34,14 @@ test runs in the search loop.  (q, n, m) picks the kernel:
   ANDs, two shifts, one OR with precomputed masks), so a node costs at most
   (m-1) d^2 (n+1) ceil(log2 p) rotations of q^(n+1)-bit masks whatever
   |A| is.  The (n+1) d (p-1) digit masks take 39 MB at q = 101, n = 2.
-* Blocked flats (`_Flats`, the other inputs but q = 2, m = 4: n = 1, or
-  q^(n+1) >= AMBIENT_LIMIT, where the lifted masks cost more than they
-  save): A + {p} is m-general exactly when p lies in no affine hull of
+* Blocked flats (`_Flats`, the other inputs: n = 1, or q^(n+1) >=
+  AMBIENT_LIMIT, where the lifted masks cost more than they save):
+  A + {p} is m-general exactly when p lies in no affine hull of
   min(m-1, |A|) points of A.  When x joins A, the update ORs in the hulls
   of {x} + T over the subsets T of A with |T| <= m-2, enumerated as
   x + sum c_t (t - x) with every c_t nonzero.  Per node this is
   sum_{j <= m-2} C(|A|, j) (q-1)^j points (|A|(q-1) + 1 for caps), each one
   vector addition over q x q lookup lists plus its code.
-* Pair sums (`_PairSums`, q = 2, m = 4): there the points x + sum c_t (t - x)
-  are x xor t xor u, and m-generality is the Sidon condition that all pair
-  sums differ.  Adding p to A with pair-sum set S blocks {p} and S xor p (A
-  is blocked already) and adds A xor p to S: a few whole-mask XOR translates
-  instead of a walk over the pairs.  `_Lifted` would give the same masks
-  about 3 times slower here.
 
 Pruning, both rules always on:
 * abandon a branch when |A| plus the number of allowed candidates left
@@ -196,6 +199,15 @@ class _Run:
 # state is the blocked mask, the codes that can no longer join A.
 
 
+def _digit_mask(p: int, k: int, t: int, size: int) -> int:
+    """The mask of the codes under size whose base-p digit k is under t."""
+    mask, period = (1 << t * p**k) - 1, p ** (k + 1)  # repeated with this period
+    while period < size:
+        mask |= mask << period
+        period *= 2
+    return mask & (1 << size) - 1
+
+
 class _Flats:
     """Blocked-flat kernel (see the module docstring) for one (field, n, m).
 
@@ -270,17 +282,7 @@ class _Lifted:
         self.full = (1 << q**n) - 1
         self.empty = (0,) + (1,) * (m - 2)  # each W_j = {0}
         size = q ** (n + 1)
-        below = []
-        for k in range((n + 1) * d):
-            w = p**k
-            masks = [0]
-            for t in range(1, p):
-                mask, period = (1 << t * w) - 1, p * w  # digit k < t, repeated
-                while period < size:
-                    mask |= mask << period
-                    period *= 2
-                masks.append(mask & (1 << size) - 1)
-            below.append(masks)
+        below = [[_digit_mask(p, k, t, size) for t in range(p)] for k in range((n + 1) * d)]
         self.rots = []
         for i in range(n + 1):
             row = []
@@ -320,7 +322,7 @@ class _Lifted:
 
 
 class _PairSums:
-    """Pair-sum kernel for q = 2, m = 4 (see the module docstring).
+    """Pair-sum kernel for q = 2, m = 4 or 5 (see the module docstring).
 
     The state is (blocked, A, S) with A and the pair sums S as sets of codes
     in bitmasks.  Each swap (v, mask) pairs a power of two v with the bit
@@ -330,17 +332,10 @@ class _PairSums:
 
     __slots__ = ("full", "empty", "swaps")
 
-    def __init__(self, n: int):
+    def __init__(self, field: Field, n: int, m: int):
         self.full = (1 << (1 << n)) - 1
         self.empty = (0, 0, 0)
-        self.swaps = []
-        for j in range(n):
-            v = 1 << j
-            mask, period = (1 << v) - 1, 2 * v
-            while period < 1 << n:
-                mask |= mask << period
-                period *= 2
-            self.swaps.append((v, mask))
+        self.swaps = [(1 << k, _digit_mask(2, k, 1, 1 << n)) for k in range(n)]
 
     def extend(self, state, code: int):
         """code joins: block {code} and S xor code, add A xor code to S."""
@@ -355,10 +350,14 @@ class _PairSums:
 
 
 def _kernel(field: Field, n: int, m: int):
-    """The blocked-set kernel for (q, n, m): pair sums for q = 2, m = 4, lifted
-    masks for n >= 2 and q^(n+1) < AMBIENT_LIMIT, else flats."""
-    if field.q == 2 and m == 4:
-        return _PairSums(n)
+    """The blocked-set kernel for (q, n, m), over F_2 for m = 2k, k = m // 2:
+    pair sums for k = 2, lifted masks for n >= 2 and q^(n+1) < AMBIENT_LIMIT,
+    else flats."""
+    if field.q == 2:
+        k = m // 2
+        if k == 2:
+            return _PairSums(field, n, 4)
+        m = 2 * k
     if n >= 2 and field.q ** (n + 1) < AMBIENT_LIMIT:
         return _Lifted(field, n, m)
     return _Flats(field, n, m)
@@ -463,24 +462,23 @@ def search_greedy(n: int, q, m: int, seed: int = 0, restarts: int = 1) -> Search
     field, total, bound = _setup(n, q, m)
     kernel = _kernel(field, n, m)
     best_wit = []
-    checks = 0
     for r in range(restarts):
         rng = random.Random(f"{seed}:{r}")
         order = list(range(total))
         rng.shuffle(order)
         chosen = []
-        state = kernel.empty
+        state, blocked = kernel.empty, bytes((total + 7) // 8)  # the mask, 8 codes a byte
         for code in order:
-            checks += 1
-            if state[0] >> code & 1:
+            if blocked[code >> 3] >> (code & 7) & 1:
                 continue
             state = kernel.extend(state, code)
+            blocked = state[0].to_bytes(len(blocked), "little")
             chosen.append(code)
         wit = sorted(chosen)
         if (-len(wit), wit) < (-len(best_wit), best_wit):  # larger, then lex-least
             best_wit = wit
     return _make_certificate(
-        field, n, m, best_wit, bound, exact=False, nodes_explored=checks,
+        field, n, m, best_wit, bound, exact=False, nodes_explored=restarts * total,
         seed=seed, restarts=restarts, reductions=("greedy",),
     )
 

@@ -255,21 +255,22 @@ def test_flat_kernel_matches_rank_test(p, d, kernel):
     """After each point of a seeded m-general set joins, the kernel's allowed
     points are exactly those the incremental test accepts: its rank path,
     or for q = 2, m = 4, where that test is a pair-sum scan like `_PairSums`,
-    the elimination of `m_general_oracle` on A + {y}.  Each kernel is built
-    directly, whichever one `_kernel` would pick."""
+    and for `_PairSums` at m = 5, the elimination of `m_general_oracle` on
+    A + {y}.  Each kernel is built directly, whichever one `_kernel` would
+    pick."""
     field = make_field(p, d)
     q = field.q
 
     def joins(A, y, m):
-        if q == 2 and m == 4:
+        if q == 2 and m == 4 or kernel is _PairSums:
             return m_general_oracle(field, A.points + (y,), m)
         return add_point_preserves(A, y, m)
 
     rng = random.Random(f"flats:{q}")
     for n in (2, 3):
         everything = _all_points(q, n)
-        for m in [4] if kernel is _PairSums else range(3, n + 3):
-            blocks = kernel(n) if kernel is _PairSums else kernel(field, n, m)
+        for m in range(4, n + 3) if kernel is _PairSums else range(3, n + 3):
+            blocks = kernel(field, n, m)
             limit = m + (1 if q**n > 100 else 3)
             pts, state = [], blocks.empty
             for _ in range(50 * limit):
@@ -290,7 +291,8 @@ def test_flat_kernel_matches_rank_test(p, d, kernel):
 
 def test_kernel_choice_at_the_ambient_limit(monkeypatch):
     """Lifted masks exactly for n >= 2 and q^(n+1) < AMBIENT_LIMIT = 2^20;
-    pair sums for q = 2, m = 4; flats otherwise, with no lifted mask built."""
+    pair sums for q = 2, m = 4 or 5, at every n; flats otherwise, with no
+    lifted mask built.  Over F_2 the kernel is built for m = 2 floor(m/2)."""
     f2 = make_field(2)
     tracemalloc.start()
     flats = _kernel(f2, 19, 3)  # 2^20 lifted codes: at the limit
@@ -302,6 +304,8 @@ def test_kernel_choice_at_the_ambient_limit(monkeypatch):
     assert peak < 2 * (1 << 20) // 8
     assert isinstance(_kernel(f2, 18, 3), _Lifted)
     assert isinstance(_kernel(f2, 18, 4), _PairSums)
+    for n in (19, 20):  # q^(n+1) at or past the limit: pair sums all the same
+        assert isinstance(_kernel(f2, n, 5), _PairSums), n
 
     # a stand-in records each lifted kernel asked for, so 101^3 builds no masks
     built = []
@@ -311,6 +315,34 @@ def test_kernel_choice_at_the_ambient_limit(monkeypatch):
     for q, n in [(4, 9), (32, 3), (3, 1), (9, 1), (101, 1)]:  # at the limit, or n = 1
         assert isinstance(_kernel(field_for_order(q), n, 3), _Flats), (q, n)
     assert built == [(101, 2, 3)]
+    for m in (3, 6, 7):
+        _kernel(f2, 5, m)
+    assert built == [(101, 2, 3), (2, 5, 2), (2, 5, 6), (2, 5, 6)]
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_f2_search_depends_on_half_m(m):
+    """Over F_2 an m-general set is exactly a 2 floor(m/2)-general one, so an
+    odd m searches like m - 1: same value, witness and nodes.  m - 1 = 2 is
+    out of range; there every set of distinct points qualifies."""
+    for n in range(m - 2, 7):
+        limit = {"max_nodes": 20_000} if n == 6 else {}
+        got = search_exact(n, 2, m, **limit)
+        greedy = search_greedy(n, 2, m, seed=n, restarts=3)
+        if m == 3:
+            everything = tuple(_all_points(2, n))
+            assert (got.value, got.exact, got.witness, got.nodes_explored) == (
+                2**n, True, everything, 2**n - 1)
+            assert (greedy.value, greedy.witness, greedy.nodes_explored) == (
+                2**n, everything, 3 * 2**n)
+            continue
+        want = search_exact(n, 2, m - 1, **limit)
+        assert (got.value, got.exact, got.witness, got.nodes_explored) == (
+            want.value, want.exact, want.witness, want.nodes_explored), n
+        want = search_greedy(n, 2, m - 1, seed=n, restarts=3)
+        assert (greedy.value, greedy.witness, greedy.nodes_explored) == (
+            want.value, want.witness, want.nodes_explored), n
+        assert got.m == greedy.m == m
 
 
 def test_exact_cap_in_ag33():
@@ -321,7 +353,8 @@ def test_exact_cap_in_ag33():
 
 @pytest.mark.parametrize(
     "p,d,n,m",
-    [(3, 1, 3, 3), (5, 1, 2, 3), (3, 1, 3, 4), (2, 2, 3, 4), (3, 2, 2, 4), (2, 1, 4, 3), (2, 1, 4, 4)],
+    [(3, 1, 3, 3), (5, 1, 2, 3), (3, 1, 3, 4), (2, 2, 3, 4), (3, 2, 2, 4), (2, 1, 4, 3), (2, 1, 4, 4),
+     (3, 1, 5, 3), (2, 1, 8, 5)],
 )
 def test_greedy_matches_reference(p, d, n, m):
     field = make_field(p, d)
