@@ -4,10 +4,16 @@ A set is m-general when no m of its points lie on a common (m-2)-flat,
 i.e. every m-subset is affinely independent.  For sets smaller than m the
 predicate degrades to checking all size-|A| subsets, which is the unique
 hereditary extension and what the incremental search relies on.
+
+Over F_2 a set is m-general exactly when it is 2 floor(m/2)-general, since
+an affine relation there has even support (`_tested_m` gives the argument).
+`is_m_general` and the search kernels test that m; `add_point_preserves`
+and the arithmetic oracle test the requested one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
@@ -129,12 +135,21 @@ def _check_m_range(m: int, n: int) -> None:
         raise ValueError(f"m out of range: need 3 <= m <= n+2, got m={m}, n={n}")
 
 
+def _tested_m(field: Field, m: int) -> int:
+    """The m whose test decides m-generality over field: 2 floor(m/2) over
+    F_2, m otherwise.  Over F_2 the coefficients of an affine relation
+    (sum c_i x_i = 0, sum c_i = 0) are 0 or 1 and sum to 0, so its support
+    is an even number of points: a dependent subset of at most m points
+    contains a dependent subset of even size, at most 2 floor(m/2)."""
+    return m - m % 2 if field.q == 2 else m
+
+
 # About this many pair sums go to one set in `_sidon_ok_char2`.
 _BUCKET_PAIRS = 1 << 14
 
 
 def _sidon_ok_char2(codes: Sequence[int], n: int) -> bool:
-    """q=2, m=4 fast path: no two distinct pairs share an XOR (pairwise sum).
+    """q = 2, tested m = 4: no two distinct pairs share an XOR (pairwise sum).
 
     More pairs than the 2^n - 1 nonzero sums always collide.  Otherwise the
     sums are bucketed by their high n - s bits, (a ^ b) >> s being
@@ -196,9 +211,11 @@ def is_m_general(A: PointSet, m: int) -> bool:
     """True iff every subset of size min(m, |A|) is affinely independent.
 
     For |A| >= m this is exactly the no-m-points-on-an-(m-2)-flat condition;
-    affine independence is hereditary, so the single subset size suffices.
+    affine independence is hereditary, so the single subset size suffices,
+    and over F_2 that size may be taken at `_tested_m`.
     """
     _check_m_range(m, A.n)
+    m = _tested_m(A.field, m)
     if A.field.q == 2 and m == 4:
         return _sidon_ok_char2([A.encode(p) for p in A.points], A.n)
     s = min(m, len(A))
@@ -213,14 +230,12 @@ def is_m_general(A: PointSet, m: int) -> bool:
 
 def add_point_preserves(A: PointSet, p: Sequence[int], m: int) -> bool:
     """Incremental test: does A + {p} stay m-general, checking only subsets
-    through p?  Assumes A itself is already m-general, so for q = 2, m = 4
-    the pair-XOR scan of A + {p} gives the same answer."""
+    through p?  Assumes A itself is already m-general.  A rank test at the
+    requested m for every (q, m), independent of the search kernels."""
     _check_m_range(m, A.n)
     p = tuple(int(c) for c in p)
     if p in A:
         raise ValueError(f"point already in set: {p}")
-    if A.field.q == 2 and m == 4:
-        return _sidon_ok_char2([A.encode(x) for x in A.points] + [A.encode(p)], A.n)
     s = min(m, len(A) + 1)
     return s <= 2 or _all_independent(A.field, p, A.points, s)
 
@@ -229,7 +244,7 @@ def add_point_preserves(A: PointSet, p: Sequence[int], m: int) -> bool:
 #
 # Line 1: `format=1`; then optional `#` comment lines; then a header
 # `q-spec n m` with q-spec = `p^d:modulus-id`; then one point per line,
-# coordinates as canonical integers separated by spaces.
+# coordinates as canonical integers separated by spaces, each point once.
 
 
 @contextmanager
@@ -252,20 +267,34 @@ def write_point_set(path, A: PointSet, m: int, comments: Sequence[str] = ()) -> 
         fh.write("\n".join(lines) + "\n")
 
 
+def _ints(line: int, text: str) -> tuple[int, ...]:
+    """The space-separated integers of text, from line `line` of a set file."""
+    try:
+        return tuple(map(int, text.split()))
+    except ValueError:
+        raise ValueError(f"set file: line {line}: expected integers, got {text.strip()!r}") from None
+
+
 def read_point_set(path) -> tuple[PointSet, int]:
-    """Read a set file; returns (point set, declared m)."""
+    """Read a set file; returns (point set, declared m).  A point listed
+    twice is refused, as is a token that is not an integer (named by its
+    line)."""
     with _path_or_stream(path) as fh:
         text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != FORMAT_LINE:
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1].strip() != FORMAT_LINE:
         raise ValueError(f"set file must start with `{FORMAT_LINE}`")
-    body = [ln for ln in lines[1:] if not ln.lstrip().startswith("#")]
+    body = [(i, ln) for i, ln in lines[1:] if not ln.lstrip().startswith("#")]
     if not body:
         raise ValueError("set file missing header line `q-spec n m`")
-    header = body[0].split()
+    header = body[0][1].split()
     if len(header) != 3:
-        raise ValueError(f"bad set file header: {body[0]!r}")
+        raise ValueError(f"bad set file header: {body[0][1]!r}")
     field = field_from_q_spec(header[0])
-    n, m = int(header[1]), int(header[2])
-    pts = [[int(tok) for tok in ln.split()] for ln in body[1:]]
-    return PointSet.of(field, n, pts), m
+    n, m = _ints(body[0][0], " ".join(header[1:]))
+    pts = [_ints(i, ln) for i, ln in body[1:]]
+    ps = PointSet.of(field, n, pts)
+    if len(ps) < len(pts):
+        repeated = next(p for p, count in Counter(pts).items() if count > 1)
+        raise ValueError(f"set file repeats point {repeated}")
+    return ps, m

@@ -22,9 +22,10 @@ subset; that enumerative form is kept as the small-N reference
 `m_general_by_forms` in `tests/oracles.py`.  The geometric oracle in
 `affine` shares no code with this module: it runs Gaussian elimination
 depth first over the subsets, Theta(N^(m-1)) row operations.  For q = 2,
-m = 4 this oracle is a pair-XOR collision scan, and the geometric one a
-separate pair-sum scan bucketed by high bits; the rank-based cross-check
-for that case is `tests/oracles.py`.
+m = 4 or 5 this oracle is a pair-XOR collision scan (with triple sums as
+probes for m = 5), and the geometric one a separate pair-sum scan bucketed
+by high bits; the rank-based cross-check for that case is
+`tests/oracles.py`.
 """
 
 from __future__ import annotations

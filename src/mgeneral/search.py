@@ -12,11 +12,11 @@ all q^n point codes, updated by a blocked-set kernel when a point joins;
 the DFS iterates the allowed points above the last chosen one lowest bit
 first, and the greedy reads a candidate's bit in a `bytes` copy of the mask
 made when a point joins, O(1) per candidate.  No rank test runs in the
-search loop.  Over F_2 an affine relation has even support, so m-general is
-2k-general for k = floor(m/2) and the kernel is built for m = 2k.  (q, n, m)
-picks the kernel:
+search loop.  The kernel is built for the tested m of `affine._tested_m`,
+2 floor(m/2) over F_2 (the F_2 rule of the `affine` docstring) and m
+otherwise.  (q, n, tested m) picks the kernel:
 
-* Pair sums (`_PairSums`, q = 2, k = 2): there the points x + sum c_t (t - x)
+* Pair sums (`_PairSums`, q = 2, tested m = 4): there the points x + sum c_t (t - x)
   are x xor t xor u, and m-generality is the Sidon condition that all pair
   sums differ.  Adding p to A with pair-sum set S blocks {p} and S xor p (A
   is blocked already) and adds A xor p to S: a few whole-mask XOR translates
@@ -76,7 +76,7 @@ from dataclasses import dataclass
 from operator import getitem, mul
 
 from . import __version__
-from .affine import PointSet, _check_m_range, _path_or_stream, is_m_general
+from .affine import PointSet, _check_m_range, _path_or_stream, _tested_m, is_m_general
 from .arithmetic import is_m_general_arithmetic
 from .bounds import integer_cap, refined_bound, within_cap
 from .field import Field, field_for_order, field_from_q_spec
@@ -322,7 +322,7 @@ class _Lifted:
 
 
 class _PairSums:
-    """Pair-sum kernel for q = 2, m = 4 or 5 (see the module docstring).
+    """Pair-sum kernel for q = 2, tested m = 4 (see the module docstring).
 
     The state is (blocked, A, S) with A and the pair sums S as sets of codes
     in bitmasks.  Each swap (v, mask) pairs a power of two v with the bit
@@ -350,14 +350,12 @@ class _PairSums:
 
 
 def _kernel(field: Field, n: int, m: int):
-    """The blocked-set kernel for (q, n, m), over F_2 for m = 2k, k = m // 2:
-    pair sums for k = 2, lifted masks for n >= 2 and q^(n+1) < AMBIENT_LIMIT,
-    else flats."""
-    if field.q == 2:
-        k = m // 2
-        if k == 2:
-            return _PairSums(field, n, 4)
-        m = 2 * k
+    """The blocked-set kernel for (q, n) and the tested m: pair sums for
+    q = 2 and tested m = 4, lifted masks for n >= 2 and q^(n+1) <
+    AMBIENT_LIMIT, else flats."""
+    m = _tested_m(field, m)
+    if field.q == 2 and m == 4:
+        return _PairSums(field, n, m)
     if n >= 2 and field.q ** (n + 1) < AMBIENT_LIMIT:
         return _Lifted(field, n, m)
     return _Flats(field, n, m)

@@ -274,9 +274,7 @@ def greedy_reference(field, n: int, m: int, seed: int, restarts: int):
     package's shuffle: restart r scans the point codes in
     `random.Random(f"{seed}:{r}")` shuffled order, and the largest result
     wins, ties going to the lex-least sorted codes.  The test is
-    `affine.add_point_preserves`, except for q = 2, m = 4, where that is a
-    pair-sum scan like the search kernel and `m_general_oracle` of the
-    chosen points plus the candidate is used instead.
+    `affine.add_point_preserves`, a rank test for every (q, m).
     Returns (value, witness points, candidate checks)."""
     import random
 
@@ -301,11 +299,7 @@ def greedy_reference(field, n: int, m: int, seed: int, restarts: int):
         for code in order:
             checks += 1
             pt = decode(code)
-            if q == 2 and m == 4:
-                ok = m_general_oracle(field, chosen.points + (pt,), m)
-            else:
-                ok = add_point_preserves(chosen, pt, m)
-            if ok:
+            if add_point_preserves(chosen, pt, m):
                 chosen = chosen.with_point(pt)
                 codes.append(code)
         codes.sort()

@@ -161,18 +161,25 @@ def test_affine_map_invariance(f3, f5):
 
 
 def test_fast_path_matches_generic_q2_m4(f2):
+    """Over F_2 `is_m_general` tests 2 floor(m/2): the pair-sum scan for
+    m = 4, 5, nothing for m = 3, the rank path for m = 6, 7.  Each m in
+    3..min(7, n+2) is compared against the rank oracle at the requested m."""
+
+    def agree(ps):
+        for m in range(3, min(7, ps.n + 2) + 1):
+            assert is_m_general(ps, m) == m_general_oracle(f2, ps.points, m), (ps.points, m)
+        return is_m_general(ps, 4)
+
     # exhaustive over F_2^3, then random over F_2^4
     space3 = list(product(range(2), repeat=3))
     for r in range(len(space3) + 1):
         for sub in combinations(space3, r):
-            ps = PointSet.of(f2, 3, sub)
-            assert is_m_general(ps, 4) == m_general_oracle(f2, ps.points, 4)
+            agree(PointSet.of(f2, 3, sub))
     rng = random.Random(31)
     space4 = list(product(range(2), repeat=4))
     for _ in range(60):
         pts = rng.sample(space4, rng.randint(1, 9))
-        ps = PointSet.of(f2, 4, pts)
-        assert is_m_general(ps, 4) == m_general_oracle(f2, ps.points, 4)
+        agree(PointSet.of(f2, 4, pts))
     # few points in a large ambient: one bucket holds every pair sum
     space8 = list(product(range(2), repeat=8))
     verdicts = set()
@@ -180,10 +187,7 @@ def test_fast_path_matches_generic_q2_m4(f2):
         pts = rng.sample(space8, rng.randint(4, 5))
         if i % 2:  # a + b + c + d = 0: four points on a plane
             pts[3] = tuple(a ^ b ^ c for a, b, c in zip(*pts[:3]))
-        ps = PointSet.of(f2, 8, pts)
-        verdict = is_m_general(ps, 4)
-        assert verdict == m_general_oracle(f2, ps.points, 4)
-        verdicts.add(verdict)
+        verdicts.add(agree(PointSet.of(f2, 8, pts)))
     assert verdicts == {True, False}
 
 

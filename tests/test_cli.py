@@ -365,15 +365,20 @@ _INPUT = "{input}"
      "modulus table: line 2: expected integers `p d c_0 ... c_d`, got '2 3 x'"),
     (None, ["search", "--n", "2", "--q", "3", "--m", "3", "--max-nodes", "-1"], 2,
      "need max_nodes >= 0, got -1"),
+    ("format=1\n3^1:3 2 3\n0 0\n0 1\n0 1\n1 0\n", ["verify"], 2, "set file repeats point (0, 1)"),
+    ("format=1\n# comment\n3^1:3 2 3\n0 0\n\n0 x\n", ["verify"], 2,
+     "set file: line 6: expected integers, got '0 x'"),
 ], ids=["witness-int", "witness-list", "value-1e400", "n-1e400", "m-1e400", "check-huge-n",
         "verify-huge-n", "bounds-q65536", "bounds-m342", "bounds-m100000", "search-nan-seconds",
         "value-float", "exact-string", "n-float", "search-workers-0", "search-workers-negative",
         "search-q-two-carets", "search-q-word", "bounds-q-word-exponent", "bounds-q-word-base",
-        "search-q-negative", "moduli-one-number", "moduli-word", "search-max-nodes-negative"])
+        "search-q-negative", "moduli-one-number", "moduli-word", "search-max-nodes-negative",
+        "verify-repeated-point", "verify-non-integer"])
 def test_edge_inputs_exit_cleanly(capsys, tmp_path, cert, argv, expected, message):
     """Malformed certificates, a huge n in sets and certificates, bounds at
     extreme (q, m), a NaN time budget, a non-positive worker count, a
-    negative node budget, a malformed q and a malformed modulus table end in
+    negative node budget, a malformed q, a malformed modulus table and a set
+    file with a repeated point or a non-integer coordinate end in
     an exit code within 5 s, with no exception escaping cli.main, no value
     printed as inf and, on exit 2, an error naming the bad input.  The input
     file goes where argv has _INPUT, else last."""

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from mgeneral import search
+from mgeneral import affine, search
 from mgeneral.affine import PointSet, add_point_preserves, is_m_general
 from mgeneral.bounds import refined_bound
 from mgeneral.field import field_for_order, make_field
@@ -253,16 +253,14 @@ _GRID = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 )
 def test_flat_kernel_matches_rank_test(p, d, kernel):
     """After each point of a seeded m-general set joins, the kernel's allowed
-    points are exactly those the incremental test accepts: its rank path,
-    or for q = 2, m = 4, where that test is a pair-sum scan like `_PairSums`,
-    and for `_PairSums` at m = 5, the elimination of `m_general_oracle` on
-    A + {y}.  Each kernel is built directly, whichever one `_kernel` would
-    pick."""
+    points are exactly those the incremental rank test accepts, or for
+    `_PairSums` those for which `m_general_oracle` accepts A + {y}.  Each
+    kernel is built directly, whichever one `_kernel` would pick."""
     field = make_field(p, d)
     q = field.q
 
     def joins(A, y, m):
-        if q == 2 and m == 4 or kernel is _PairSums:
+        if kernel is _PairSums:
             return m_general_oracle(field, A.points + (y,), m)
         return add_point_preserves(A, y, m)
 
@@ -343,6 +341,38 @@ def test_f2_search_depends_on_half_m(m):
         assert (greedy.value, greedy.witness, greedy.nodes_explored) == (
             want.value, want.witness, want.nodes_explored), n
         assert got.m == greedy.m == m
+
+
+def test_f2_rule_bounds_the_rank_oracle(monkeypatch):
+    """Over F_2 `is_m_general` runs the rank oracle `_all_independent` for
+    no m <= 5 and with at most 6 points for m = 6, 7, so `check` of a
+    146-point q = 2, m = 5 greedy certificate is a pair-sum scan plus the
+    arithmetic oracle."""
+    sizes = []
+    real = affine._all_independent
+    monkeypatch.setattr(affine, "_all_independent",
+                        lambda field, base, others, size: sizes.append(size) or real(field, base, others, size))
+    f2 = make_field(2)
+    rng, reached = random.Random(15), set()
+    for n in (4, 6, 8):
+        space = _all_points(2, n)
+        for _ in range(20):
+            ps = PointSet.of(f2, n, rng.sample(space, rng.randint(1, 12)))
+            for m in range(3, min(7, n + 2) + 1):
+                sizes.clear()
+                is_m_general(ps, m)
+                if m <= 5:
+                    assert sizes == [], (ps.points, m)
+                else:
+                    assert max(sizes, default=0) <= 6, (ps.points, m)
+                    reached.update(sizes)
+    assert reached == {3, 4, 5, 6}  # the m = 6, 7 runs did reach the rank oracle
+    monkeypatch.undo()
+    cert = search_greedy(16, 2, 5, seed=1)
+    assert cert.value == 146
+    start = time.perf_counter()
+    assert verify_certificate(cert)
+    assert time.perf_counter() - start < 10
 
 
 def test_exact_cap_in_ag33():
