@@ -274,6 +274,11 @@ class BoundReport:
 
 
 def bound_report(n: int, q: int, m: int) -> BoundReport:
+    """Every bound that applies at (n, q, m), for any m >= 3 and n >= 1."""
+    if m < 3:
+        raise ValueError(f"need m >= 3, got m={m}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     k = m // 2
     main = refined = mu_main = None
     if m >= 4:

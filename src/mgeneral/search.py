@@ -6,15 +6,15 @@ acts transitively and preserves m-generality) and grows sets only by points
 greater than the last chosen, so every candidate set is enumerated once and
 the first witness found at any size is the lexicographically least one.
 
-One DFS and one randomized greedy run for every (q, m).  Each keeps, per
-depth, the points that can no longer join A as one big-integer bitmask over
-all q^n point codes, updated by a blocked-set kernel when a point joins;
-the DFS iterates the allowed points above the last chosen one lowest bit
-first, and the greedy reads a candidate's bit in a `bytes` copy of the mask
-made when a point joins, O(1) per candidate.  No rank test runs in the
-search loop.  The kernel is built for the tested m of `affine._tested_m`,
-2 floor(m/2) over F_2 (the F_2 rule of the `affine` docstring) and m
-otherwise.  (q, n, tested m) picks the kernel:
+One search loop and one randomized greedy run for every (q, m).  Each
+keeps, per depth, the points that can no longer join A as one big-integer
+bitmask over all q^n point codes, updated by a blocked-set kernel when a
+point joins; the search tries the allowed points above the last chosen
+one lowest bit first, and the greedy reads a candidate's bit in a `bytes`
+copy of the mask made when a point joins, O(1) per candidate.  No rank
+test runs in the search loop.  The kernel is built for the tested m of
+`affine._tested_m`, 2 floor(m/2) over F_2 (the F_2 rule of the `affine`
+docstring) and m otherwise.  (q, n, tested m) picks the kernel:
 
 * Pair sums (`_PairSums`, q = 2, tested m = 4): there the points x + sum c_t (t - x)
   are x xor t xor u, and m-generality is the Sidon condition that all pair
@@ -52,13 +52,14 @@ Pruning, both rules always on:
 
 Budgets: `search_exact` splits the second points into spans (one, or
 4 * workers in a pool of min(workers, CPUs) processes).  A span is one
-`_Run` record: the DFS from the origin whose first level is a window of
-second points; every allowed point above the window's start still counts
-toward the size bound, so the pruning is that of the unsplit search.
-`_Run.visit` makes every stop decision: at the cap, past the span's
-`max_nodes`, or past the one deadline on the system-wide monotonic clock
-that bounds the whole run, read at every node.  `max_seconds` and
-`max_nodes` must be >= 0.
+`_Run` record: the search from the origin whose first level is a window
+of second points; every allowed point above the window's start still
+counts toward the size bound, so the pruning is that of the unsplit search.
+`_Run.run` is one loop over a list of frames, not Python calls, so search
+depth is limited only by `max_nodes` and `max_seconds`.  `_Run.visit`
+makes every stop decision: at the cap, past the span's `max_nodes`, or
+past the one deadline on the system-wide monotonic clock that bounds the
+whole run, read at every node.  Both budgets must be >= 0.
 
 Certificates are JSON files carrying the witness and enough provenance to
 re-verify from scratch; `verify_certificate` re-runs both the geometric and
@@ -184,12 +185,33 @@ class _Run:
         return not self.stopped
 
     def run(self) -> _Run:
-        """The DFS from the origin, its first level the window; returns self."""
+        """The search from the origin; returns self.  codes is the current
+        set A; frames holds a (state, allowed, remaining) frame for each
+        parent of A, allowed the points it has yet to try and remaining
+        the count toward the size bound.  Only the bottom frame is masked
+        by the window; every child allows all points above its new code."""
         # built in the span's own process: _Flats' lookup closures do not pickle
         kernel = _kernel(self.field, self.n, self.m)
-        window = (1 << self.hi) - (1 << self.lo)
-        _dfs(kernel, kernel.extend(kernel.empty, 0), [0], self, self.lo, window)
-        return self
+        full, extend, visit = kernel.full, kernel.extend, self.visit
+        state, codes, frames = extend(kernel.empty, 0), [0], []
+        allowed = ~state[0] & full & -(1 << self.lo)
+        remaining = allowed.bit_count()
+        allowed &= (1 << self.hi) - 1  # the window [lo, hi)
+        while True:
+            if allowed and len(codes) + remaining > self.size:
+                low = allowed & -allowed
+                codes.append(low.bit_length() - 1)
+                if not visit(codes):  # False only once stopped
+                    return self
+                frames.append((state, allowed ^ low, remaining - 1))
+                state = extend(state, codes[-1])
+                allowed = ~state[0] & full & -(low << 1)
+                remaining = allowed.bit_count()
+            elif frames:
+                state, allowed, remaining = frames.pop()
+                codes.pop()
+            else:
+                return self
 
 
 # -- blocked-set kernels -----------------------------------------------------------
@@ -359,29 +381,6 @@ def _kernel(field: Field, n: int, m: int):
     if n >= 2 and field.q ** (n + 1) < AMBIENT_LIMIT:
         return _Lifted(field, n, m)
     return _Flats(field, n, m)
-
-
-def _dfs(kernel, state, codes, run, floor, window):
-    """Grow codes by each allowed point of window at or above floor, lowest
-    first, and recurse above it; every allowed point at or above floor, in
-    window or not, counts toward the size bound."""
-    above = ~state[0] & kernel.full & -(1 << floor)
-    remaining = above.bit_count()
-    allowed = above & window
-    extend = kernel.extend
-    while allowed:
-        if len(codes) + remaining <= run.size:
-            break
-        low = allowed & -allowed
-        p = low.bit_length() - 1
-        codes.append(p)
-        if run.visit(codes):
-            _dfs(kernel, extend(state, p), codes, run, p + 1, kernel.full)
-        codes.pop()
-        if run.stopped:
-            return
-        allowed ^= low
-        remaining -= 1
 
 
 # -- drivers -----------------------------------------------------------------------

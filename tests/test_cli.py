@@ -152,6 +152,21 @@ def test_search_limits_exit_code(capsys, tmp_path):
     assert "exact=False" in err
 
 
+@pytest.mark.parametrize("argv, expected, value, nodes", [
+    (["--n", "10", "--q", "2", "--m", "3"], 0, 1024, 1023),
+    (["--n", "11", "--q", "2", "--m", "3", "--max-nodes", "1500"], 3, 1502, 1501),
+    (["--n", "10", "--q", "3", "--m", "3", "--max-nodes", "1100"], 3, 1032, 1101),
+], ids=["q2n10m3", "q2n11m3-nodes", "q3n10m3-nodes"])
+def test_deep_search_exits_cleanly(capsys, tmp_path, argv, expected, value, nodes):
+    """A search whose set grows past a thousand points, deeper than the
+    interpreter's call stack allows, ends on exhaustion or its node budget."""
+    cert_path = tmp_path / "deep.json"
+    code, _, err = run(capsys, "search", *argv, "-o", str(cert_path))
+    assert code == expected, err
+    doc = json.loads(cert_path.read_text())
+    assert (doc["value"], doc["exact"], doc["nodes_explored"]) == (value, expected == 0, nodes)
+
+
 def test_check_corrupted_certificate(capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
     run(capsys, "search", "--n", "2", "--q", "3", "--m", "3", "-o", str(cert_path))
@@ -368,17 +383,23 @@ _INPUT = "{input}"
     ("format=1\n3^1:3 2 3\n0 0\n0 1\n0 1\n1 0\n", ["verify"], 2, "set file repeats point (0, 1)"),
     ("format=1\n# comment\n3^1:3 2 3\n0 0\n\n0 x\n", ["verify"], 2,
      "set file: line 6: expected integers, got '0 x'"),
+    (None, ["bounds", "--q", "2", "--m", "1", "--n", "3"], 2, "need m >= 3, got m=1"),
+    (None, ["bounds", "--q", "2", "--m", "-1", "--n", "3"], 2, "need m >= 3, got m=-1"),
+    (None, ["bounds", "--q", "3", "--m", "1", "--n", "3"], 2, "need m >= 3, got m=1"),
+    (None, ["bounds", "--q", "3", "--m", "3", "--n", "-5"], 2, "need n >= 1, got n=-5"),
 ], ids=["witness-int", "witness-list", "value-1e400", "n-1e400", "m-1e400", "check-huge-n",
         "verify-huge-n", "bounds-q65536", "bounds-m342", "bounds-m100000", "search-nan-seconds",
         "value-float", "exact-string", "n-float", "search-workers-0", "search-workers-negative",
         "search-q-two-carets", "search-q-word", "bounds-q-word-exponent", "bounds-q-word-base",
         "search-q-negative", "moduli-one-number", "moduli-word", "search-max-nodes-negative",
-        "verify-repeated-point", "verify-non-integer"])
+        "verify-repeated-point", "verify-non-integer", "bounds-q2-m1", "bounds-q2-m-negative",
+        "bounds-q3-m1", "bounds-n-negative"])
 def test_edge_inputs_exit_cleanly(capsys, tmp_path, cert, argv, expected, message):
     """Malformed certificates, a huge n in sets and certificates, bounds at
     extreme (q, m), a NaN time budget, a non-positive worker count, a
-    negative node budget, a malformed q, a malformed modulus table and a set
-    file with a repeated point or a non-integer coordinate end in
+    negative node budget, a malformed q, a malformed modulus table, a set
+    file with a repeated point or a non-integer coordinate and bounds at
+    m < 3 or n < 1 for any q end in
     an exit code within 5 s, with no exception escaping cli.main, no value
     printed as inf and, on exit 2, an error naming the bad input.  The input
     file goes where argv has _INPUT, else last."""
