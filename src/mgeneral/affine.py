@@ -36,6 +36,16 @@ Point = tuple  # length-n tuple of canonical field-element ints
 FORMAT_LINE = "format=1"
 
 
+def _point(field: Field, n: int, p: Sequence[int]) -> Point:
+    """p as a point of F_q^n: n canonical field elements, else ValueError."""
+    p = tuple(int(c) for c in p)
+    if len(p) != n:
+        raise ValueError(f"point has {len(p)} coords, ambient needs {n}")
+    if any(not 0 <= c < field.q for c in p):
+        raise ValueError(f"coordinate out of range for q={field.q}: {p}")
+    return p
+
+
 @dataclass(frozen=True)
 class PointSet:
     """A duplicate-free set of points of F_q^n in canonical (lex) order."""
@@ -49,11 +59,7 @@ class PointSet:
         seen = set()
         pts = []
         for p in points:
-            p = tuple(int(c) for c in p)
-            if len(p) != n:
-                raise ValueError(f"point has {len(p)} coords, ambient needs {n}")
-            if any(not 0 <= c < field.q for c in p):
-                raise ValueError(f"coordinate out of range for q={field.q}: {p}")
+            p = _point(field, n, p)
             if p not in seen:
                 seen.add(p)
                 pts.append(p)
@@ -233,7 +239,7 @@ def add_point_preserves(A: PointSet, p: Sequence[int], m: int) -> bool:
     through p?  Assumes A itself is already m-general.  A rank test at the
     requested m for every (q, m), independent of the search kernels."""
     _check_m_range(m, A.n)
-    p = tuple(int(c) for c in p)
+    p = _point(A.field, A.n, p)
     if p in A:
         raise ValueError(f"point already in set: {p}")
     s = min(m, len(A) + 1)

@@ -35,7 +35,7 @@ from itertools import chain, combinations, permutations, product, repeat
 from operator import add, xor
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .affine import PointSet, _check_m_range
+from .affine import PointSet, _check_m_range, _point
 from .field import Field
 
 __all__ = [
@@ -114,13 +114,14 @@ def _combo(field: Field, coeffs: Sequence[int], pts: Sequence[tuple]) -> tuple:
 
 
 def apply_form(c: CoeffVector, xs: Sequence[Sequence[int]]) -> tuple:
-    """Evaluate the linear form given by c at a tuple of points."""
+    """Evaluate the linear form given by c at a tuple of points of one
+    F_q^n; ValueError for anything that is not such a point."""
     if len(xs) != len(c.coeffs):
         raise ValueError(f"form has {len(c.coeffs)} slots, got {len(xs)} points")
     pts = [tuple(p) for p in xs]
     if len({len(p) for p in pts}) != 1:
         raise ValueError("points must share an ambient dimension")
-    return _combo(c.field, c.coeffs, pts)
+    return _combo(c.field, c.coeffs, [_point(c.field, len(pts[0]), p) for p in pts])
 
 
 def _completions(field: Field, entries: Iterable[int], length: int, target: int) -> Iterator[tuple]:

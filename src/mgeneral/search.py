@@ -14,15 +14,17 @@ one lowest bit first, and the greedy reads a candidate's bit in a `bytes`
 copy of the mask made when a point joins, O(1) per candidate.  No rank
 test runs in the search loop.  The kernel is built for the tested m of
 `affine._tested_m`, 2 floor(m/2) over F_2 (the F_2 rule of the `affine`
-docstring) and m otherwise.  (q, n, tested m) picks the kernel:
+docstring) and m otherwise.  q, and for q > 2 the ambient, picks the kernel:
 
-* Pair sums (`_PairSums`, q = 2, tested m = 4): there the points x + sum c_t (t - x)
-  are x xor t xor u, and m-generality is the Sidon condition that all pair
-  sums differ.  Adding p to A with pair-sum set S blocks {p} and S xor p (A
-  is blocked already) and adds A xor p to S: a few whole-mask XOR translates
-  instead of a walk over the pairs.  `_Lifted` would give the same masks
-  about 3.6 times slower here.
-* Lifted masks (`_Lifted`, n >= 2 and q^(n+1) < AMBIENT_LIMIT): A is
+* Subset sums (`_SubsetSums`, q = 2, k = floor(m/2)): a relation over F_2
+  is an even subset summing to 0, so A + {x} stays 2k-general exactly when
+  x is no sum of an odd subset of A of size <= 2k - 1.  The state packs, for
+  i < k, the sums O_i of odd subsets of size <= 2i - 1 and E_i of even ones
+  of size <= 2i (0 among them) into one int.  x joining blocks {x} and
+  x xor E_{k-1}, O_i gains x xor E_{i-1} and E_i gains x xor O_i: one XOR
+  translate of all blocks, a bit-block swap per set bit of x, shifted up a
+  block.  k = 2 is the Sidon (pair-sum) update; `_Lifted` ran it 3.6x slower.
+* Lifted masks (`_Lifted`, q > 2, n >= 2 and q^(n+1) < AMBIENT_LIMIT): A is
   m-general iff the lifted vectors (1, t), t in A, have no nontrivial
   relation on <= m of them, so A + {p} is m-general exactly when (1, p) is
   no F_q-combination of <= m-1 of them.  The state keeps, for j <= m-2, the
@@ -34,8 +36,8 @@ docstring) and m otherwise.  (q, n, tested m) picks the kernel:
   ANDs, two shifts, one OR with precomputed masks), so a node costs at most
   (m-1) d^2 (n+1) ceil(log2 p) rotations of q^(n+1)-bit masks whatever
   |A| is.  The (n+1) d (p-1) digit masks take 39 MB at q = 101, n = 2.
-* Blocked flats (`_Flats`, the other inputs: n = 1, or q^(n+1) >=
-  AMBIENT_LIMIT, where the lifted masks cost more than they save):
+* Blocked flats (`_Flats`, q > 2 and n = 1, or q^(n+1) >= AMBIENT_LIMIT,
+  where the lifted masks cost more than they save):
   A + {p} is m-general exactly when p lies in no affine hull of
   min(m-1, |A|) points of A.  When x joins A, the update ORs in the hulls
   of {x} + T over the subsets T of A with |T| <= m-2, enumerated as
@@ -343,41 +345,43 @@ class _Lifted:
         return (blocked, *(w | c for w, c in zip(ws, closed)))
 
 
-class _PairSums:
-    """Pair-sum kernel for q = 2, tested m = 4 (see the module docstring).
+class _SubsetSums:
+    """Subset-sum kernel for q = 2, k = floor(m/2) (see the module docstring).
 
-    The state is (blocked, A, S) with A and the pair sums S as sets of codes
-    in bitmasks.  Each swap (v, mask) pairs a power of two v with the bit
-    positions i where i & v == 0, so a translate {i xor p} of a mask is one
-    swap of bit blocks per set bit v of p.
+    The state is (blocked, P), P holding O_1, E_1, ..., O_{k-1}, E_{k-1} in
+    blocks of 2^n bits from the lowest.  Each swap (v, mask) pairs a power of
+    two v with the positions i where i & v == 0, so translating every block
+    by x is one swap of bit blocks per set bit v of x.
     """
 
-    __slots__ = ("full", "empty", "swaps")
+    __slots__ = ("full", "empty", "swaps", "block", "top", "packed")
 
     def __init__(self, field: Field, n: int, m: int):
-        self.full = (1 << (1 << n)) - 1
-        self.empty = (0, 0, 0)
-        self.swaps = [(1 << k, _digit_mask(2, k, 1, 1 << n)) for k in range(n)]
+        size, blocks = 1 << n, 2 * (m // 2) - 2
+        self.full, self.packed = (1 << size) - 1, (1 << blocks * size) - 1
+        self.block, self.top = size, max(blocks - 1, 0) * size  # top: E_{k-1}
+        self.empty = (0, sum(1 << i * size for i in range(1, blocks, 2)))  # each E_i = {0}
+        self.swaps = [(1 << j, _digit_mask(2, j, 1, blocks * size)) for j in range(n)]
 
     def extend(self, state, code: int):
-        """code joins: block {code} and S xor code, add A xor code to S."""
-        blocked, a, s = state
-        a_shift, s_shift = a, s
+        """code joins: block {code} and code xor E_{k-1}, then P gains the
+        translate code xor P shifted up a block, and {code} (E_0 = {0})."""
+        blocked, packed = state
+        moved = packed
         for v, mask in self.swaps:
             if code & v:
-                a_shift = (a_shift & mask) << v | (a_shift >> v) & mask
-                s_shift = (s_shift & mask) << v | (s_shift >> v) & mask
+                moved = (moved & mask) << v | (moved >> v) & mask
         low = 1 << code
-        return blocked | low | s_shift, a | low, s | a_shift
+        return blocked | low | moved >> self.top, (packed | moved << self.block | low) & self.packed
 
 
 def _kernel(field: Field, n: int, m: int):
-    """The blocked-set kernel for (q, n) and the tested m: pair sums for
-    q = 2 and tested m = 4, lifted masks for n >= 2 and q^(n+1) <
-    AMBIENT_LIMIT, else flats."""
+    """The blocked-set kernel for (q, n) and the tested m: subset sums for
+    q = 2; for q > 2, lifted masks for n >= 2 and q^(n+1) < AMBIENT_LIMIT,
+    else flats."""
     m = _tested_m(field, m)
-    if field.q == 2 and m == 4:
-        return _PairSums(field, n, m)
+    if field.q == 2:
+        return _SubsetSums(field, n, m)
     if n >= 2 and field.q ** (n + 1) < AMBIENT_LIMIT:
         return _Lifted(field, n, m)
     return _Flats(field, n, m)

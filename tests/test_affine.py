@@ -306,13 +306,24 @@ def test_generic_m_general_matches_oracle():
     assert min(verdicts.values()) > 50 and small_dependency > 20, (verdicts, small_dependency)
 
 
-def test_add_point_preserves_examples(f3):
+def test_add_point_preserves_examples(f3, f9):
     A = PointSet.of(f3, 1, [(0,), (1,)])
     assert add_point_preserves(A, (2,), 3) is False  # completes the line
     B = PointSet.of(f3, 2, [(0, 0)])
     assert add_point_preserves(B, (1, 1), 3) is True
     with pytest.raises(ValueError, match="already"):
         add_point_preserves(B, (0, 0), 3)
+    # a non-point is refused with PointSet.of's rules and messages, not judged
+    A = PointSet.of(f3, 3, [(0, 0, 0), (1, 2, 1)])
+    for p, match in [((1, 2), "2 coords"), ((1, 2, 1, 0), "4 coords"),
+                     ((4, 0, 0), r"range for q=3: \(4, 0, 0\)"),
+                     ((-1, 0, 0), "range for q=3"), ((0, 0, 7), "range for q=3")]:
+        with pytest.raises(ValueError, match=match):
+            add_point_preserves(A, p, 3)
+        with pytest.raises(ValueError, match=match):
+            A.with_point(p)
+    with pytest.raises(ValueError, match="range for q=9"):
+        add_point_preserves(PointSet.of(f9, 2, [(0, 0)]), (12, 5), 3)
 
 
 def test_add_point_matches_full_recheck(f2, f3, f4, f5):

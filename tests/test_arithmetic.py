@@ -33,13 +33,17 @@ def test_coeff_vector_validation(f3, f5):
         CoeffVector.nonzero_sum(f5, (2, 2), 1)
 
 
-def test_apply_form(f3):
+def test_apply_form(f3, f9):
     c = CoeffVector.sum_zero(f3, (1, 1, 1))  # (1, 1, -2) over F_3
     assert apply_form(c, [(2, 1), (2, 1), (2, 1)]) == (0, 0)
     c2 = CoeffVector.sum_zero(f3, (1, 2))
     assert apply_form(c2, [(1, 0), (1, 1)]) == (0, 2)
     with pytest.raises(ValueError, match="slots"):
         apply_form(c2, [(1, 0)])
+    c9 = CoeffVector.sum_zero(f9, (1, 2))
+    for bad in [(-1, 0), (9, 0)]:
+        with pytest.raises(ValueError, match="range for q=9"):
+            apply_form(c9, [(1, 0), bad])
 
 
 def test_sum_zero_vectors_counts_and_values(f2, f3):

@@ -18,7 +18,7 @@ from mgeneral.search import (
     _Flats,
     _kernel,
     _Lifted,
-    _PairSums,
+    _SubsetSums,
     certificate_to_json,
     read_certificate,
     search_exact,
@@ -26,7 +26,7 @@ from mgeneral.search import (
     verify_certificate,
     write_certificate,
 )
-from oracles import brute_force_max, greedy_reference, m_general_oracle
+from oracles import brute_force_max, greedy_reference
 
 
 def test_trivial_line():
@@ -247,27 +247,24 @@ _GRID = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
 
 @pytest.mark.parametrize(
-    "p,d,kernel",
-    [(p, d, _Lifted) for p, d in _GRID] + [(p, d, _Flats) for p, d in _GRID] + [(2, 1, _PairSums)],
-    ids=[f"{p}-{d}" for p, d in _GRID] + [f"flats-{p}-{d}" for p, d in _GRID] + ["pairsums-2-1"],
+    "p,d,kernel,ns",
+    [(p, d, _Lifted, (2, 3)) for p, d in _GRID] + [(p, d, _Flats, (2, 3)) for p, d in _GRID]
+    + [(2, 11, _Flats, (1,)), (2, 1, _SubsetSums, (2, 3, 4, 5))],
+    ids=[f"{p}-{d}" for p, d in _GRID] + [f"flats-{p}-{d}" for p, d in _GRID]
+    + ["flats-2-11", "subsetsums-2-1"],
 )
-def test_flat_kernel_matches_rank_test(p, d, kernel):
+def test_flat_kernel_matches_rank_test(p, d, kernel, ns):
     """After each point of a seeded m-general set joins, the kernel's allowed
-    points are exactly those the incremental rank test accepts, or for
-    `_PairSums` those for which `m_general_oracle` accepts A + {y}.  Each
-    kernel is built directly, whichever one `_kernel` would pick."""
+    points are exactly those the incremental rank test accepts, for every m
+    in 3..n+2.  Each kernel is built directly, whichever one `_kernel` would
+    pick.  GF(2048) at n = 1 runs `_Flats` on Field methods (q^2 >
+    AMBIENT_LIMIT); `_SubsetSums` at n = 4, 5 reaches m = 6, 7, k = 3."""
     field = make_field(p, d)
     q = field.q
-
-    def joins(A, y, m):
-        if kernel is _PairSums:
-            return m_general_oracle(field, A.points + (y,), m)
-        return add_point_preserves(A, y, m)
-
     rng = random.Random(f"flats:{q}")
-    for n in (2, 3):
+    for n in ns:
         everything = _all_points(q, n)
-        for m in range(4, n + 3) if kernel is _PairSums else range(3, n + 3):
+        for m in range(3, n + 3):
             blocks = kernel(field, n, m)
             limit = m + (1 if q**n > 100 else 3)
             pts, state = [], blocks.empty
@@ -276,46 +273,56 @@ def test_flat_kernel_matches_rank_test(p, d, kernel):
                     break
                 x = rng.choice(everything)
                 A = PointSet.of(field, n, pts)
-                if x in A or not joins(A, x, m):
+                if x in A or not add_point_preserves(A, x, m):
                     continue
                 state = blocks.extend(state, A.encode(x))
                 pts.append(x)
                 A = A.with_point(x)
                 allowed = ~state[0] & blocks.full
-                want = {A.encode(y) for y in everything if y not in A and joins(A, y, m)}
+                want = {A.encode(y) for y in everything if y not in A and add_point_preserves(A, y, m)}
                 assert {c for c in range(q**n) if allowed >> c & 1} == want, (n, m, pts)
             assert len(pts) >= min(limit, m - 1), (n, m)
 
 
 def test_kernel_choice_at_the_ambient_limit(monkeypatch):
-    """Lifted masks exactly for n >= 2 and q^(n+1) < AMBIENT_LIMIT = 2^20;
-    pair sums for q = 2, m = 4 or 5, at every n; flats otherwise, with no
-    lifted mask built.  Over F_2 the kernel is built for m = 2 floor(m/2)."""
-    f2 = make_field(2)
+    """Subset sums for q = 2 at every n and m, built for m = 2 floor(m/2);
+    for q > 2 lifted masks exactly for n >= 2 and q^(n+1) < AMBIENT_LIMIT =
+    2^20, flats otherwise, with no lifted mask built."""
     tracemalloc.start()
-    flats = _kernel(f2, 19, 3)  # 2^20 lifted codes: at the limit
+    flats = _kernel(field_for_order(4), 9, 3)  # 4^10 = 2^20 lifted codes: at the limit
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert isinstance(flats, _Flats)
     # _Lifted would hold 20 digit masks of 2^20 bits (2.5 MiB); the flats'
-    # blocked masks have 2^19 bits
+    # blocked masks have 2^18 bits
     assert peak < 2 * (1 << 20) // 8
-    assert isinstance(_kernel(f2, 18, 3), _Lifted)
-    assert isinstance(_kernel(f2, 18, 4), _PairSums)
-    for n in (19, 20):  # q^(n+1) at or past the limit: pair sums all the same
-        assert isinstance(_kernel(f2, n, 5), _PairSums), n
+    for m in range(3, 8):
+        assert isinstance(_kernel(make_field(2), 5, m), _SubsetSums), m
 
-    # a stand-in records each lifted kernel asked for, so 101^3 builds no masks
+    # stand-ins record each kernel asked for, so no masks are built
     built = []
-    monkeypatch.setattr(search, "_Lifted", lambda field, n, m: built.append((field.q, n, m)))
-    assert _kernel(make_field(101), 2, 3) is None  # 101^3 = 1,030,301: just below
-    assert built == [(101, 2, 3)]
-    for q, n in [(4, 9), (32, 3), (3, 1), (9, 1), (101, 1)]:  # at the limit, or n = 1
-        assert isinstance(_kernel(field_for_order(q), n, 3), _Flats), (q, n)
-    assert built == [(101, 2, 3)]
-    for m in (3, 6, 7):
-        _kernel(f2, 5, m)
-    assert built == [(101, 2, 3), (2, 5, 2), (2, 5, 6), (2, 5, 6)]
+    for name in ("_SubsetSums", "_Lifted", "_Flats"):
+        monkeypatch.setattr(search, name, lambda field, n, m, name=name: built.append((name, field.q, n, m)))
+    cells = [(n, m) for n in range(1, 21) for m in range(3, n + 3)]
+    for n, m in cells:
+        _kernel(make_field(2), n, m)
+    assert built == [("_SubsetSums", 2, n, m - m % 2) for n, m in cells]
+    built.clear()
+    _kernel(make_field(101), 2, 3)  # 101^3 = 1,030,301: just below
+    flat_cells = [(4, 9), (32, 3), (3, 1), (9, 1), (101, 1)]  # at the limit, or n = 1
+    for q, n in flat_cells:
+        _kernel(field_for_order(q), n, 3)
+    assert built == [("_Lifted", 101, 2, 3)] + [("_Flats", q, n, 3) for q, n in flat_cells]
+
+
+@pytest.mark.parametrize("n,m,value,seconds", [(19, 6, 60, 10), (16, 3, 1 << 16, 5)])
+def test_f2_greedy_at_large_n(n, m, value, seconds):
+    """One greedy pass over AG(n,2) runs the subset-sum kernel: m = 3 blocks
+    only the joining point, so every point joins."""
+    start = time.perf_counter()
+    cert = search_greedy(n, 2, m, seed=1)
+    assert time.perf_counter() - start < seconds
+    assert cert.value == value
 
 
 @pytest.mark.parametrize("m", [3, 5, 7])
