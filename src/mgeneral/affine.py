@@ -2,8 +2,8 @@
 
 A set is m-general when no m of its points lie on a common (m-2)-flat,
 i.e. every m-subset is affinely independent.  For sets smaller than m the
-predicate degrades to checking all size-|A| subsets, which is the unique
-hereditary extension and what the incremental search relies on.
+predicate degrades to checking all size-|A| subsets: the unique hereditary
+extension, which both oracles decide and the incremental search relies on.
 
 Over F_2 a set is m-general exactly when it is 2 floor(m/2)-general, since
 an affine relation there has even support (`_tested_m` gives the argument).
@@ -17,6 +17,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
+from operator import index
 from typing import Iterable, Sequence
 
 from .field import Field, field_from_q_spec
@@ -38,7 +39,11 @@ FORMAT_LINE = "format=1"
 
 def _point(field: Field, n: int, p: Sequence[int]) -> Point:
     """p as a point of F_q^n: n canonical field elements, else ValueError."""
-    p = tuple(int(c) for c in p)
+    p = tuple(p)
+    try:
+        p = tuple(map(index, p))
+    except TypeError:
+        raise ValueError(f"coordinate not an integer: {p}") from None
     if len(p) != n:
         raise ValueError(f"point has {len(p)} coords, ambient needs {n}")
     if any(not 0 <= c < field.q for c in p):
@@ -218,7 +223,8 @@ def is_m_general(A: PointSet, m: int) -> bool:
 
     For |A| >= m this is exactly the no-m-points-on-an-(m-2)-flat condition;
     affine independence is hereditary, so the single subset size suffices,
-    and over F_2 that size may be taken at `_tested_m`.
+    and over F_2 that size may be taken at `_tested_m`.  Below m it says A
+    is affinely independent, as `is_m_general_arithmetic` does too.
     """
     _check_m_range(m, A.n)
     m = _tested_m(A.field, m)

@@ -1,9 +1,9 @@
 """Arithmetic characterization of m-general sets.
 
-A set is m-general exactly when, for every length-m coefficient vector
-with entries summing to zero (not all zero), no m distinct points of the
-set satisfy the corresponding linear equation.  This module provides that
-oracle independently of the geometric rank computation, plus the weak
+A set of any size is m-general exactly when no nontrivial zero-sum
+relation sum c_i x_i = 0, sum c_i = 0 (an affine dependence) holds on at
+most m of its distinct points.  This module provides that oracle
+independently of the geometric rank computation, plus the weak
 B_k / B_k predicates and the k-sum injectivity check that drives the
 counting bound.
 
@@ -253,10 +253,6 @@ def _vectors(field: Field, j: int, gammas: Sequence[int]) -> list[tuple]:
 def is_m_general_arithmetic(A: PointSet, m: int) -> bool:
     """The m-general test: no zero-sum relation on <= m distinct points.
 
-    Requires |A| >= m.  The equivalence with the geometric predicate is
-    established for 3 <= m <= n; callers may use the full geometric range
-    3 <= m <= n+2, where the two oracles are still required to agree.
-
     Meet in the middle (the k-sum injectivity lemma), k = floor(m/2): hash
     sum c_i (1, s_i) for every j-subset S, j <= k, and every all-nonzero c
     with gamma = sum c in {0, 1}; for odd m, probe with the (k+1)-subsets
@@ -266,12 +262,13 @@ def is_m_general_arithmetic(A: PointSet, m: int) -> bool:
     whose sums agree, and scaling both by 1/gamma (gamma != 0) moves them
     into the hashed family.  When t = m is odd some split has gamma != 0:
     were every k-subset of coefficients to sum to 0, all coefficients would
-    equal one c with k c = (2k+1) c = 0, so c = 0.  Cost:
-    Theta(N^ceil(m/2) (q-1)^ceil(m/2)) hash operations.
+    equal one c with k c = (2k+1) c = 0, so c = 0.  Neither direction
+    counts the points of A or compares m with n, so the test decides every
+    A, |A| >= 0 (below m: A affinely independent), for every
+    3 <= m <= n + 2.  Cost: Theta(N^ceil(m/2) (q-1)^ceil(m/2)) hash
+    operations.
     """
     _check_m_range(m, A.n)
-    if len(A) < m:
-        raise ValueError(f"arithmetic oracle needs |A| >= m, got |A|={len(A)}, m={m}")
     field, k = A.field, m // 2
     sums = _weighted_sums(A)
     keys = chain.from_iterable(sums(_vectors(field, j, (0, 1))) for j in range(1, k + 1))

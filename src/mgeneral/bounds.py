@@ -82,15 +82,13 @@ def _coefficient_count(q: int, k: int) -> int:
 
 def _iroot(x: int, k: int) -> int:
     """floor(x ** (1/k)) for x >= 0, by integer Newton iteration from above,
-    started just above the root: at a float estimate rounded up, or at a
-    power of two when the root exceeds the float range."""
+    started at (y's float root, rounded up, + 1) << t for y = x >> kt, t
+    leaving the root about 40 bits: above the root, as x < (y + 1) 2^(kt),
+    and close enough that a few steps settle it for any x and k."""
     if x < 2:
         return x
-    log_root = math.log(x) / k
-    if log_root < _LOG_MAX - 1:
-        r = math.ceil(math.exp(log_root) * (1 + 1e-9)) + 1  # > the root
-    else:
-        r = 1 << -(-x.bit_length() // k)  # > the root
+    t = max(0, -(-x.bit_length() // k) - 40)
+    r = (math.ceil(math.exp(math.log(x >> k * t) / k) * (1 + 1e-9)) + 1) << t
     while True:
         nxt = ((k - 1) * r + x // r ** (k - 1)) // k
         if nxt >= r:

@@ -66,13 +66,8 @@ def cmd_verify(args) -> int:
     results = {}
     if args.oracle in ("geometric", "both"):
         results["geometric"] = is_m_general(A, m)
-    if args.oracle == "both" and len(A) < m:
-        print(f"note: |A| = {len(A)} < m = {m}; arithmetic oracle skipped")
-    elif args.oracle in ("arithmetic", "both"):
-        results["arithmetic"] = is_m_general_arithmetic(A, m)  # raises for |A| < m
-    if m > A.n:
-        print(f"note: m = {m} exceeds n = {A.n}; the arithmetic-geometric "
-              "equivalence is only established for m <= n")
+    if args.oracle in ("arithmetic", "both"):
+        results["arithmetic"] = is_m_general_arithmetic(A, m)
     for name, verdict in results.items():
         print(f"{name}: {len(A)} points, {'' if verdict else 'NOT '}{m}-general")
     if len(results) == 2 and len(set(results.values())) != 1:

@@ -567,6 +567,6 @@ def verify_certificate(cert: SearchCertificate) -> bool:
         return False
     if not is_m_general(ps, cert.m):
         return False
-    if len(ps) >= cert.m and not is_m_general_arithmetic(ps, cert.m):
+    if not is_m_general_arithmetic(ps, cert.m):
         return False
     return cert.m < 4 or within_cap(cert.value, cert.n, field.q, cert.m)

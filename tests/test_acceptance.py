@@ -45,7 +45,7 @@ def test_criterion_1_oracle_equivalence():
     checked = 0
 
     space = list(product(range(2), repeat=3))
-    for r in range(4, 9):
+    for r in range(0, 9):
         for sub in combinations(space, r):
             A = PointSet.of(f2, 3, sub)
             if is_m_general(A, 4) != is_m_general_arithmetic(A, 4):
@@ -53,7 +53,7 @@ def test_criterion_1_oracle_equivalence():
             checked += 1
 
     space = list(product(range(3), repeat=2))
-    for r in range(3, 10):
+    for r in range(0, 10):
         for sub in combinations(space, r):
             A = PointSet.of(f3, 2, sub)
             if is_m_general(A, 3) != is_m_general_arithmetic(A, 3):
@@ -67,10 +67,7 @@ def test_criterion_1_oracle_equivalence():
         n = rng.randint(1, 4)
         m = rng.choice([mm for mm in (3, 4, 5) if mm <= n + 2])
         space_size = field.q**n
-        hi = min(space_size, m + 3)
-        if hi < m:
-            continue
-        size = rng.randint(m, hi)
+        size = rng.randint(0, min(space_size, m + 3))
         pts = []
         for code in rng.sample(range(space_size), size):
             coords = []

@@ -33,6 +33,9 @@ def test_point_set_validation(f3):
         PointSet.of(f3, 2, [(1,)])
     with pytest.raises(ValueError, match="range"):
         PointSet.of(f3, 2, [(1, 3)])
+    for bad in [(1.7, 2.9), ("1", "2"), (1, None)]:  # refused, not truncated to (1, 2)
+        with pytest.raises(ValueError, match="coordinate not an integer"):
+            PointSet.of(f3, 2, [bad])
 
 
 def test_affine_rank_examples(f3):
@@ -313,6 +316,8 @@ def test_add_point_preserves_examples(f3, f9):
     assert add_point_preserves(B, (1, 1), 3) is True
     with pytest.raises(ValueError, match="already"):
         add_point_preserves(B, (0, 0), 3)
+    with pytest.raises(ValueError, match="coordinate not an integer"):
+        add_point_preserves(B, (0.5, 0), 3)  # not judged as (0, 0)
     # a non-point is refused with PointSet.of's rules and messages, not judged
     A = PointSet.of(f3, 3, [(0, 0, 0), (1, 2, 1)])
     for p, match in [((1, 2), "2 coords"), ((1, 2, 1, 0), "4 coords"),

@@ -44,6 +44,9 @@ def test_apply_form(f3, f9):
     for bad in [(-1, 0), (9, 0)]:
         with pytest.raises(ValueError, match="range for q=9"):
             apply_form(c9, [(1, 0), bad])
+    for bad in [(0.9, 1), ("0", "1")]:  # refused, not truncated to (0, 1)
+        with pytest.raises(ValueError, match="coordinate not an integer"):
+            apply_form(c2, [(1, 0), bad])
 
 
 def test_sum_zero_vectors_counts_and_values(f2, f3):
@@ -157,8 +160,10 @@ def test_weakly_avoids_matches_reference():
 def test_arithmetic_oracle_examples(f3, f5):
     assert not is_m_general_arithmetic(PointSet.of(f5, 1, [(1,), (2,), (4,)]), 3)
     assert is_m_general_arithmetic(PointSet.of(f3, 2, [(0, 0), (1, 0), (0, 1)]), 3)
-    with pytest.raises(ValueError, match=r"\|A\| >= m"):
-        is_m_general_arithmetic(PointSet.of(f3, 2, [(0, 0)]), 3)
+    # below m the verdict is affine independence, as for the geometric oracle
+    assert is_m_general_arithmetic(PointSet.of(f3, 2, [(0, 0)]), 3)
+    assert is_m_general_arithmetic(PointSet.of(f3, 2, []), 4)
+    assert not is_m_general_arithmetic(PointSet.of(f3, 2, [(0, 0), (1, 1), (2, 2)]), 4)
     with pytest.raises(ValueError, match="m out of range"):
         is_m_general_arithmetic(PointSet.of(f3, 2, [(0, 0), (1, 0), (0, 1)]), 7)
 

@@ -91,6 +91,15 @@ def test_integer_cap_where_the_float_floor_was_one_short():
     assert math.floor(refined_bound(84, 2, 4)) == 6219777023951
 
 
+def test_integer_cap_with_root_beyond_float_range():
+    for n, q, m in [(3000, 2, 4), (2500, 3, 5)]:
+        k = m // 2
+        L = 1 if q == 2 else count_nonzero_sum_vectors(q, k, gamma_is_zero=False)
+        cap = integer_cap(n, q, m)
+        assert cap.bit_length() > 1024  # past the largest float
+        assert L * math.comb(cap, k) <= q**n < L * math.comb(cap + 1, k), (n, q, m)
+
+
 def test_bounds_beyond_float_range():
     assert refined_bound(1100, 2, 4) == pytest.approx(2**550 * math.sqrt(2), rel=1e-12)
     assert refined_bound(10**6, 2, 4) == math.inf

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import mgeneral
-from mgeneral import cli
+from mgeneral import cli, search
 from mgeneral.affine import read_point_set
 
 
@@ -43,12 +43,34 @@ def test_verify_single_oracle(capsys, f5_line_file):
     assert code == 1 and "arithmetic:" not in out
 
 
-def test_verify_small_set_skips_arithmetic(capsys, tmp_path):
+def test_verify_small_set_runs_both_oracles(capsys, tmp_path):
     path = tmp_path / "pair.txt"
     path.write_text("format=1\n3^1:3 2 3\n0 0\n1 1\n")
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
-    assert "skipped" in out
+    assert out == "geometric: 2 points, 3-general\narithmetic: 2 points, 3-general\n"
+
+
+def test_verify_arithmetic_below_m(capsys, tmp_path):
+    # three points of F_3^3 with m = 4: the arithmetic oracle decides them too
+    path = tmp_path / "three.txt"
+    path.write_text("format=1\n3^1:3 3 4\n0 0 0\n1 0 0\n0 1 0\n")
+    code, out, err = run(capsys, "verify", str(path), "--oracle", "arithmetic")
+    assert (code, out, err) == (0, "arithmetic: 3 points, 4-general\n", "")
+    path.write_text("format=1\n3^1:3 3 4\n0 0 0\n1 0 0\n2 0 0\n")  # a line
+    code, out, _ = run(capsys, "verify", str(path), "--oracle", "arithmetic")
+    assert (code, out) == (1, "arithmetic: 3 points, NOT 4-general\n")
+
+
+def test_check_runs_arithmetic_on_witness_below_m(capsys, tmp_path, monkeypatch):
+    # the q = 9, n = 2, m = 4 maximum has 3 < m points; check still asks both oracles
+    cert_path = tmp_path / "q9.json"
+    code, _, _ = run(capsys, "search", "--n", "2", "--q", "9", "--m", "4", "-o", str(cert_path))
+    assert code == 0 and len(json.loads(cert_path.read_text())["witness"]) == 3
+    monkeypatch.setattr(search, "is_m_general_arithmetic", lambda A, m: False)
+    code, out, _ = run(capsys, "check", str(cert_path))
+    assert code == 1
+    assert out.startswith("certificate INVALID")
 
 
 def test_verify_disagreement_tripwire(capsys, f5_line_file, monkeypatch):
@@ -251,13 +273,13 @@ def test_moduli_override_lasts_one_call(capsys, tmp_path):
     assert code == 0 and json.loads(out)["params"]["q_spec"] == "2^3:11"
 
 
-def test_verify_outside_equivalence_range_notes(capsys, tmp_path):
-    # m = n + 1 works but is flagged as beyond the established equivalence range
+def test_verify_m_above_n_prints_no_note(capsys, tmp_path):
+    # m = n + 1 is in range for both oracles, with no caveat printed
     path = tmp_path / "s.txt"
     path.write_text("format=1\n2^1:2 3 4\n0 0 0\n0 0 1\n0 1 0\n1 0 0\n")
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
-    assert "only established for m <= n" in out
+    assert out == "geometric: 4 points, 4-general\narithmetic: 4 points, 4-general\n"
 
 
 def test_search_greedy_rejects_zero_restarts(capsys, tmp_path):
@@ -383,6 +405,7 @@ _INPUT = "{input}"
     ("format=1\n3^1:3 2 3\n0 0\n0 1\n0 1\n1 0\n", ["verify"], 2, "set file repeats point (0, 1)"),
     ("format=1\n# comment\n3^1:3 2 3\n0 0\n\n0 x\n", ["verify"], 2,
      "set file: line 6: expected integers, got '0 x'"),
+    ("format=1\n3^1:3 2\n0 0\n", ["verify"], 2, "bad set file header: '3^1:3 2'"),
     (None, ["bounds", "--q", "2", "--m", "1", "--n", "3"], 2, "need m >= 3, got m=1"),
     (None, ["bounds", "--q", "2", "--m", "-1", "--n", "3"], 2, "need m >= 3, got m=-1"),
     (None, ["bounds", "--q", "3", "--m", "1", "--n", "3"], 2, "need m >= 3, got m=1"),
@@ -392,17 +415,17 @@ _INPUT = "{input}"
         "value-float", "exact-string", "n-float", "search-workers-0", "search-workers-negative",
         "search-q-two-carets", "search-q-word", "bounds-q-word-exponent", "bounds-q-word-base",
         "search-q-negative", "moduli-one-number", "moduli-word", "search-max-nodes-negative",
-        "verify-repeated-point", "verify-non-integer", "bounds-q2-m1", "bounds-q2-m-negative",
-        "bounds-q3-m1", "bounds-n-negative"])
+        "verify-repeated-point", "verify-non-integer", "verify-header-two-tokens", "bounds-q2-m1",
+        "bounds-q2-m-negative", "bounds-q3-m1", "bounds-n-negative"])
 def test_edge_inputs_exit_cleanly(capsys, tmp_path, cert, argv, expected, message):
     """Malformed certificates, a huge n in sets and certificates, bounds at
     extreme (q, m), a NaN time budget, a non-positive worker count, a
     negative node budget, a malformed q, a malformed modulus table, a set
-    file with a repeated point or a non-integer coordinate and bounds at
-    m < 3 or n < 1 for any q end in
-    an exit code within 5 s, with no exception escaping cli.main, no value
-    printed as inf and, on exit 2, an error naming the bad input.  The input
-    file goes where argv has _INPUT, else last."""
+    file with a repeated point, a non-integer coordinate or a short header
+    and bounds at m < 3 or n < 1 for any q end in an exit code within 5 s,
+    with no exception escaping cli.main, no value printed as inf and, on
+    exit 2, an error naming the bad input.  The input file goes where argv
+    has _INPUT, else last."""
     if cert is not None:
         path = tmp_path / "input"
         path.write_text(cert)
