@@ -17,6 +17,15 @@ Three bound families:
 
 Growth-rate (mu) bounds follow: 1/floor(m/2) from the counting bound and
 log_q(min h) from Bennett's.
+
+The exact search stops at `search_cap`, the least of the counting cap and
+two closed-form caps, and `within_cap` tests a claimed value against the
+same caps:
+
+* dimension, m = n + 2: r = n + 1, as any n + 2 points of AG(n,q) are
+  affinely dependent and a frame {0, e_1, ..., e_n} is (n+2)-general;
+* arc, n = 2 and m = 3: r <= q + 1 for odd q and q + 2 for even q, as an
+  affine arc is an arc of PG(2,q) (Bose 1947).
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ __all__ = [
     "bound_main",
     "refined_bound",
     "integer_cap",
+    "search_cap",
     "within_cap",
     "h_eval",
     "h_deriv",
@@ -119,11 +129,40 @@ def integer_cap(n: int, q: int, m: int) -> int:
     return lo
 
 
+def _closed_form_cap(n: int, q: int, m: int) -> tuple[int, str] | None:
+    """The dimension or the arc cap where one applies (never both, as
+    m = n + 2 = 3 needs n = 1), else None."""
+    if n < 1 or q < 2 or m < 3:
+        raise ValueError(f"need n >= 1, a prime power q >= 2 and m >= 3, got n={n}, q={q}, m={m}")
+    if m == n + 2:
+        return n + 1, "dimension"
+    if n == 2 and m == 3:
+        return q + 2 - q % 2, "arc"
+    return None
+
+
+def search_cap(n: int, q: int, m: int) -> tuple[int | None, str | None]:
+    """(cap, reason): the least cap on r_m(n,q) that applies, reason
+    "counting" (integer_cap, m >= 4), "dimension" or "arc"; (None, None)
+    where none does.  A tie keeps "counting"."""
+    closed = _closed_form_cap(n, q, m)
+    if m >= 4:
+        cap = integer_cap(n, q, m)
+        if closed is None or cap <= closed[0]:
+            return cap, "counting"
+    return closed or (None, None)
+
+
 def within_cap(value: int, n: int, q: int, m: int) -> bool:
-    """value <= integer_cap(n, q, m), tested as L * C(value, k) <= q^n
-    (C(x, k) does not decrease in x).  A left side of at most n floor(log2 q)
-    bits is below 2^(n floor(log2 q)) <= q^n, and then q^n is not computed."""
-    _check_main_pre(n, q, m)
+    """value <= search_cap(n, q, m)[0], True where no cap applies.  The
+    counting cap is tested as L * C(value, k) <= q^n (C(x, k) does not
+    decrease in x).  A left side of at most n floor(log2 q) bits is below
+    2^(n floor(log2 q)) <= q^n, and then q^n is not computed."""
+    closed = _closed_form_cap(n, q, m)
+    if closed is not None and value > closed[0]:
+        return False
+    if m < 4:
+        return True
     k = m // 2
     need = _coefficient_count(q, k) * math.comb(value, k)
     return need.bit_length() <= n * (q.bit_length() - 1) or need <= q**n

@@ -48,9 +48,14 @@ docstring) and m otherwise.  q, and for q > 2 the ambient, picks the kernel:
 Pruning, both rules always on:
 * abandon a branch when |A| plus the number of allowed candidates left
   cannot beat the best size found;
-* once the best size reaches the refined counting bound's integer cap
-  max{x : L C(x, k) <= q^n}, no larger set can exist and the search stops,
-  still exact.
+* once the best size reaches `bounds.search_cap`, no larger set can exist
+  and the search stops, still exact.  The cap is the least that applies,
+  and `reductions` names it: `refined-bound-cap`, the counting bound's
+  integer cap max{x : L C(x, k) <= q^n} for m >= 4; `dimension-cap`, n + 1
+  for m = n + 2; `arc-cap`, q + 2 - q mod 2 for n = 2 and m = 3 (Bose).
+  The cap changes nodes, never witnesses: the first set the search reaches
+  at any size is the lex-least one of that size, so the set that reaches
+  the cap is the lex-least maximum the exhausted search would report.
 
 Budgets: `search_exact` splits the second points into spans (one, or
 4 * workers in a pool of min(workers, CPUs) processes).  A span is one
@@ -65,7 +70,8 @@ whole run, read at every node.  Both budgets must be >= 0.
 
 Certificates are JSON files carrying the witness and enough provenance to
 re-verify from scratch; `verify_certificate` re-runs both the geometric and
-arithmetic oracles on the witness and re-checks the counting bound.
+arithmetic oracles on the witness and re-checks the value against every
+cap of `bounds.within_cap`.
 """
 
 from __future__ import annotations
@@ -81,7 +87,7 @@ from operator import getitem, mul
 from . import __version__
 from .affine import PointSet, _check_m_range, _path_or_stream, _tested_m, is_m_general
 from .arithmetic import is_m_general_arithmetic
-from .bounds import integer_cap, refined_bound, within_cap
+from .bounds import refined_bound, search_cap, within_cap
 from .field import Field, field_for_order, field_from_q_spec
 
 __all__ = [
@@ -99,6 +105,9 @@ DEFAULT_MAX_NODES = 100_000_000
 DEFAULT_MAX_SECONDS = 300.0
 
 AMBIENT_LIMIT = 1 << 20  # points in the ambient space
+
+# the reduction a certificate names for each reason of bounds.search_cap
+_CAP_REDUCTIONS = {"counting": "refined-bound-cap", "dimension": "dimension-cap", "arc": "arc-cap"}
 
 
 class MalformedCertificateError(ValueError):
@@ -428,7 +437,7 @@ def search_exact(
     if max_nodes < 0:
         raise ValueError(f"need max_nodes >= 0, got {max_nodes}")
     field, total, bound = _setup(n, q, m)
-    cap = integer_cap(n, field.q, m) if m >= 4 else None
+    cap, reason = search_cap(n, field.q, m)
 
     deadline = time.monotonic() + max_seconds
     chunk = total - 1 if workers == 1 else max(1, -(-(total - 1) // (workers * 4)))
@@ -447,7 +456,7 @@ def search_exact(
     exact = not any(r.stopped for r in runs) or (cap is not None and best.size >= cap)
     reductions = ["fix-origin", "canonical-order"]
     if cap is not None:
-        reductions.append("refined-bound-cap")
+        reductions.append(_CAP_REDUCTIONS[reason])
     reductions.append("best-prune")
     return _make_certificate(
         field, n, m, best.witness, bound, exact=exact,
@@ -569,4 +578,4 @@ def verify_certificate(cert: SearchCertificate) -> bool:
         return False
     if not is_m_general_arithmetic(ps, cert.m):
         return False
-    return cert.m < 4 or within_cap(cert.value, cert.n, field.q, cert.m)
+    return within_cap(cert.value, cert.n, field.q, cert.m)

@@ -20,7 +20,9 @@ from mgeneral.arithmetic import (
     sum_zero_vectors,
     verify_ksum_injectivity,
 )
-from mgeneral.bounds import h_deriv, h_eval, minimize_h, mu_upper_bennett, refined_bound, table2_rows
+from mgeneral.bounds import (
+    h_deriv, h_eval, minimize_h, mu_upper_bennett, refined_bound, search_cap, table2_rows,
+)
 from mgeneral.constructions import FunctionTable, cube_function, is_apn, lower_bound_4general
 from mgeneral.field import field_for_order, make_field
 from mgeneral.search import search_exact
@@ -184,6 +186,7 @@ def test_criterion_3_exact_values_vs_oracle():
     details.append("r_3(1,3)=2 r_3(2,3)=4 r_4(3,2)=4 oracle-confirmed")
 
     mismatches = []
+    theorem_cells = 0
     for q, n, m in ORACLE_CELLS:
         field = _field_for(q)
         res = brute_force_max(field, n, m, node_budget=8_000_000, time_budget=120)
@@ -194,10 +197,16 @@ def test_criterion_3_exact_values_vs_oracle():
         cert = search_exact(n, field, m, max_nodes=8_000_000, max_seconds=120)
         if not (cert.exact and cert.value == val and cert.witness == wit):
             mismatches.append((q, n, m, f"search {cert.value} vs oracle {val}"))
+        # the search's cap bounds the true maximum, and the closed-form caps attain it
+        cap, reason = search_cap(n, q, m)
+        theorem_cells += reason in ("dimension", "arc")
+        if cap is not None and (val > cap or (reason in ("dimension", "arc") and val != cap)):
+            mismatches.append((q, n, m, f"oracle {val} vs {reason} cap {cap}"))
     if mismatches:
         ok = False
         details.append(f"mismatches: {mismatches}")
-    details.append(f"{len(ORACLE_CELLS)} grid cells bit-for-bit")
+    details.append(f"{len(ORACLE_CELLS)} grid cells bit-for-bit, within search_cap, "
+                   f"equal to it on {theorem_cells} dimension and arc cells")
 
     f2 = make_field(2)
     for n in ANALYTIC_Q2_M3:

@@ -18,6 +18,7 @@ from mgeneral.bounds import (
     refined_bound,
     reports_to_csv,
     round_half_up,
+    search_cap,
     table1_grid,
     table2_rows,
     within_cap,
@@ -83,6 +84,29 @@ def test_within_cap_agrees_with_integer_cap():
             assert within_cap(v, n, q, m) == (v <= cap), (q, n, m, v)
             shortcut_used.add((L * math.comb(v, k)).bit_length() <= n * (q.bit_length() - 1))
     assert shortcut_used == {True, False}
+
+
+def test_search_cap_is_the_least_cap_that_applies():
+    assert search_cap(3, 3, 3) == (None, None)  # m = 3, n >= 3: no cap
+    assert search_cap(1, 65536, 3) == (2, "dimension")
+    assert search_cap(2, 9, 4) == (3, "dimension")  # counting cap 5
+    assert search_cap(3, 2, 5) == (4, "counting")  # ties the dimension cap
+    assert search_cap(5, 2, 7) == (6, "counting")
+    assert search_cap(2, 2, 4) == (3, "counting")  # ties the dimension cap
+    assert search_cap(2, 4, 4) == (3, "dimension")  # counting cap 4
+    assert [search_cap(2, q, 3) for q in (2, 3, 8, 9, 11, 16)] == [
+        (4, "arc"), (4, "arc"), (10, "arc"), (10, "arc"), (12, "arc"), (18, "arc")]
+
+
+def test_within_cap_agrees_with_search_cap():
+    # cells with a closed-form cap; the test above covers the counting cap alone
+    cells = [(q, 2, 3) for q in (2, 3, 4, 5, 7, 8, 9, 11, 16, 65536)]
+    cells += [(q, n, n + 2) for q in (2, 3, 9) for n in (1, 2, 3, 5, 8)]
+    for q, n, m in cells:
+        cap, _ = search_cap(n, q, m)
+        for v in range(max(cap - 2, 0), cap + 3):
+            assert within_cap(v, n, q, m) == (v <= cap), (q, n, m, v)
+    assert within_cap(10**9, 3, 3, 3)  # no cap applies
 
 
 def test_integer_cap_where_the_float_floor_was_one_short():

@@ -189,6 +189,48 @@ def test_deep_search_exits_cleanly(capsys, tmp_path, argv, expected, value, node
     assert (doc["value"], doc["exact"], doc["nodes_explored"]) == (value, expected == 0, nodes)
 
 
+@pytest.mark.parametrize("n, q, m, value, nodes", [
+    (1, 2048, 3, 2, 0),
+    (2, 11, 3, 12, 449),
+    (2, 16, 3, 18, 250),
+    (3, 7, 5, 4, 2),
+    (5, 3, 7, 6, 4),
+], ids=["q2048n1m3", "q11n2m3", "q16n2m3", "q7n3m5", "q3n5m7"])
+def test_theorem_cap_cells_are_fast(capsys, tmp_path, n, q, m, value, nodes):
+    """The dimension cap (m = n + 2) and the arc cap (n = 2, m = 3) make
+    these cells exact in a few nodes.  With the counting cap alone the
+    first took 10 s and the others were not exact within 20 s."""
+    cert_path = tmp_path / "cert.json"
+    start = time.perf_counter()
+    code, _, err = run(capsys, "search", "--n", str(n), "--q", str(q), "--m", str(m), "-o", str(cert_path))
+    assert time.perf_counter() - start < 2
+    assert code == 0, err
+    doc = json.loads(cert_path.read_text())
+    assert (doc["value"], doc["exact"], doc["nodes_explored"]) == (value, True, nodes)
+    code, out, _ = run(capsys, "check", str(cert_path))
+    assert code == 0 and "certificate VALID" in out
+
+
+@pytest.mark.parametrize("n, q_spec, m, cap", [(2, "5^1:5", 3, 6), (3, "3^1:3", 5, 4)],
+                         ids=["arc", "dimension"])
+def test_check_refuses_a_value_above_a_theorem_cap(capsys, tmp_path, monkeypatch, n, q_spec, m, cap):
+    """With both oracles made to accept any set, the cap alone decides:
+    cap distinct points pass, cap + 1 are INVALID."""
+    monkeypatch.setattr(search, "is_m_general", lambda ps, m: True)
+    monkeypatch.setattr(search, "is_m_general_arithmetic", lambda ps, m: True)
+    q = int(q_spec.split("^")[0])
+    points = [" ".join(str(i // q**j % q) for j in range(n)) for i in range(cap + 1)]
+    for size, expected in [(cap, 0), (cap + 1, 1)]:
+        path = tmp_path / f"cert{size}.json"
+        path.write_text(json.dumps({
+            "format": 1, "params": {"n": n, "q_spec": q_spec, "m": m},
+            "value": size, "exact": False, "witness": points[:size], "nodes_explored": 0,
+        }))
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == expected
+        assert ("certificate VALID" if expected == 0 else "certificate INVALID") in out
+
+
 def test_check_corrupted_certificate(capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
     run(capsys, "search", "--n", "2", "--q", "3", "--m", "3", "-o", str(cert_path))

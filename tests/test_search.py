@@ -86,9 +86,10 @@ def test_expired_deadline_stops_every_span_at_its_first_node():
 
 def test_clock_read_at_every_node(monkeypatch):
     # a fake clock one second later at each reading: the deadline 0 + 5 is
-    # passed at the sixth node, which is the last one counted
+    # passed at the sixth node, which is the last one counted; no cap stops
+    # (3, 3, 4) before its 2,722 nodes
     monkeypatch.setattr(search.time, "monotonic", itertools.count().__next__)
-    cert = search_exact(2, 5, 3, max_seconds=5)
+    cert = search_exact(3, 3, 4, max_seconds=5)
     assert not cert.exact
     assert cert.nodes_explored == 6
 
@@ -106,9 +107,10 @@ def test_max_seconds_must_be_nonnegative(max_seconds):
     (5, 2, 4, {"workers": 2}, (7, True, 117185)),
     (3, 3, 4, {}, (5, True, 2722)),
     (3, 3, 4, {"workers": 2}, (5, True, 2734)),
-    (2, 5, 3, {}, (6, True, 890)),
+    (2, 5, 3, {}, (6, True, 4)),  # stops at the arc cap q + 1
+    (2, 9, 4, {}, (3, True, 1)),  # stops at the dimension cap n + 1
     (4, 3, 3, {"max_nodes": 60}, (18, False, 61)),
-], ids=["q2n4m4", "q2n5m4", "q2n5m4w2", "q3n3m4", "q3n3m4w2", "q5n2m3", "q3n4m3lim"])
+], ids=["q2n4m4", "q2n5m4", "q2n5m4w2", "q3n3m4", "q3n3m4w2", "q5n2m3", "q9n2m4", "q3n4m3lim"])
 def test_exact_search_node_counts(n, q, m, kwargs, expected):
     # the stop rule fixes these: the node that reaches the cap is not counted,
     # and a span stops on the node past its budget
@@ -121,6 +123,26 @@ def test_worker_partition_determinism(f3):
     par = search_exact(2, f3, 3, workers=2)
     assert par.value == seq.value and par.exact
     assert par.witness == seq.witness
+
+
+def test_arc_cap_with_workers():
+    # every span stops at the arc cap 12 or runs out below it; the first
+    # span to reach it holds the lex-least 12-arc, as one worker finds
+    seq = search_exact(2, 11, 3)
+    par = search_exact(2, 11, 3, workers=2)
+    assert (par.value, par.witness, par.exact) == (seq.value, seq.witness, seq.exact)
+    assert (seq.value, seq.exact) == (12, True)
+    assert "arc-cap" in par.reductions
+
+
+@pytest.mark.parametrize("n, q, m, reduction", [
+    (3, 2, 3, None), (3, 2, 5, "refined-bound-cap"), (2, 9, 4, "dimension-cap"), (2, 5, 3, "arc-cap"),
+])
+def test_reductions_name_the_cap_in_force(n, q, m, reduction):
+    # (3, 2, 5): the counting cap 4 ties the dimension cap and is kept
+    caps = ("refined-bound-cap", "dimension-cap", "arc-cap")
+    got = [r for r in search_exact(n, q, m).reductions if r in caps]
+    assert got == ([] if reduction is None else [reduction])
 
 
 def test_pool_size_capped_at_cpu_count(monkeypatch):
@@ -329,15 +351,18 @@ def test_f2_greedy_at_large_n(n, m, value, seconds):
 def test_f2_search_depends_on_half_m(m):
     """Over F_2 an m-general set is exactly a 2 floor(m/2)-general one, so an
     odd m searches like m - 1: same value, witness and nodes.  m - 1 = 2 is
-    out of range; there every set of distinct points qualifies."""
+    out of range; there every set of distinct points qualifies, and the
+    search runs to the whole space but for the dimension cap at n = 1 and
+    the arc cap at n = 2, which the whole space reaches."""
     for n in range(m - 2, 7):
         limit = {"max_nodes": 20_000} if n == 6 else {}
         got = search_exact(n, 2, m, **limit)
         greedy = search_greedy(n, 2, m, seed=n, restarts=3)
         if m == 3:
             everything = tuple(_all_points(2, n))
+            nodes = {1: 0, 2: 2}.get(n, 2**n - 1)
             assert (got.value, got.exact, got.witness, got.nodes_explored) == (
-                2**n, True, everything, 2**n - 1)
+                2**n, True, everything, nodes)
             assert (greedy.value, greedy.witness, greedy.nodes_explored) == (
                 2**n, everything, 3 * 2**n)
             continue
