@@ -203,9 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--greedy", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES,
+                   help="node budget of the whole exact search, shared equally by its spans")
     p.add_argument("--max-seconds", type=float, default=DEFAULT_MAX_SECONDS)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="exact search over 4 x WORKERS spans in min(WORKERS, CPUs) processes")
     p.add_argument("-o", "--output", default=None, help="certificate file (default stdout)")
     p.set_defaults(func=cmd_search)
 

@@ -63,10 +63,10 @@ Budgets: `search_exact` splits the second points into spans (one, or
 of second points; every allowed point above the window's start still
 counts toward the size bound, so the pruning is that of the unsplit search.
 `_Run.run` is one loop over a list of frames, not Python calls, so search
-depth is limited only by `max_nodes` and `max_seconds`.  `_Run.visit`
-makes every stop decision: at the cap, past the span's `max_nodes`, or
-past the one deadline on the system-wide monotonic clock that bounds the
-whole run, read at every node.  Both budgets must be >= 0.
+depth is limited only by the budgets.  `_Run.visit` makes every stop: at
+the cap, past the span's share max_nodes // spans, or past the deadline on
+the system-wide monotonic clock, read at every node.  Both budgets (>= 0)
+cover the whole run: spans are collected in order until one reaches the cap.
 
 Certificates are JSON files carrying the witness and enough provenance to
 re-verify from scratch; `verify_certificate` re-runs both the geometric and
@@ -80,8 +80,9 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from multiprocessing import Pool
 from operator import getitem, mul
 
 from . import __version__
@@ -245,9 +246,9 @@ class _Flats:
     """Blocked-flat kernel (see the module docstring) for one (field, n, m).
 
     The state is (blocked, points of A as coordinate tuples).  Field
-    addition and scaling are q x q lookup lists when q^2 <= AMBIENT_LIMIT,
-    which holds for every n >= 2; only a large field at n = 1 calls the
-    Field methods instead.
+    addition and scaling are q x q lookup lists for n >= 2 (q^2 <= q^n <=
+    AMBIENT_LIMIT there); at n = 1, where a search stops at two points,
+    they call the Field methods instead.
     """
 
     __slots__ = ("q", "n", "m", "full", "empty", "weights", "vadd", "vscale", "minus_one")
@@ -259,7 +260,7 @@ class _Flats:
         self.empty = (0, ())
         self.weights = [q ** (n - 1 - j) for j in range(n)]
         self.minus_one = field.neg(1)
-        if q * q <= AMBIENT_LIMIT:
+        if n >= 2:
             elems = range(q)
             add_rows = [[field.add(a, b) for b in elems] for a in elems].__getitem__
             mul_rows = [[field.mul(c, a) for a in elems] for c in elems]
@@ -427,8 +428,9 @@ def search_exact(
 
     exact=True in the result means the value is the true maximum; on
     exhausted limits the certificate carries the best witness found so far
-    with exact=False.  max_seconds (>= 0) bounds the whole run, max_nodes
-    (>= 0) each of the 4 * workers spans when workers (>= 1) is above 1.
+    with exact=False.  max_nodes and max_seconds (>= 0) bound the whole run
+    for any workers (>= 1); if a span runs out of budget before a later one
+    reaches the cap, the value is exact and the witness the later span's.
     """
     if not max_seconds >= 0:  # also refuses NaN, which no clock exceeds
         raise ValueError(f"need max_seconds >= 0, got {max_seconds}")
@@ -441,16 +443,16 @@ def search_exact(
 
     deadline = time.monotonic() + max_seconds
     chunk = total - 1 if workers == 1 else max(1, -(-(total - 1) // (workers * 4)))
-    runs = [
-        _Run(field, n, m, lo, min(lo + chunk, total), max_nodes, deadline, cap)
-        for lo in range(1, total, chunk)
-    ]
-    if workers == 1:
-        runs = list(map(_Run.run, runs))
-    else:
-        # the spans depend on workers alone; a pool starts all its processes at once
-        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            runs = list(pool.map(_Run.run, runs))
+    starts = range(1, total, chunk)
+    spans = [_Run(field, n, m, lo, min(lo + chunk, total), max_nodes // len(starts), deadline, cap)
+             for lo in starts]
+    # the spans depend on workers alone; a pool starts all its processes at once
+    with Pool(min(workers, os.cpu_count() or 1)) if workers > 1 else nullcontext() as pool:
+        runs = []
+        for run in (pool.imap if pool else map)(_Run.run, spans):  # in span order
+            runs.append(run)
+            if cap is not None and run.size >= cap:
+                break  # leaving the pool terminates the spans still running
     best = max(runs, key=lambda r: r.size)  # the first span of the best size
 
     exact = not any(r.stopped for r in runs) or (cap is not None and best.size >= cap)

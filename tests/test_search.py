@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import multiprocessing
 import os
 import random
 import time
@@ -126,13 +127,25 @@ def test_worker_partition_determinism(f3):
 
 
 def test_arc_cap_with_workers():
-    # every span stops at the arc cap 12 or runs out below it; the first
-    # span to reach it holds the lex-least 12-arc, as one worker finds
+    # the first span holds the lex-least 12-arc and reaches the arc cap in
+    # the nodes one worker takes; the run ends there and stops the others
     seq = search_exact(2, 11, 3)
     par = search_exact(2, 11, 3, workers=2)
+    assert multiprocessing.active_children() == []
     assert (par.value, par.witness, par.exact) == (seq.value, seq.witness, seq.exact)
     assert (seq.value, seq.exact) == (12, True)
+    assert par.nodes_explored == seq.nodes_explored == 449
     assert "arc-cap" in par.reductions
+
+
+@pytest.mark.parametrize("budget", [0, 5, 20_000])
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("n, q, m", [(6, 2, 4), (4, 3, 3)])
+def test_node_budget_bounds_whole_run(n, q, m, workers, budget):
+    # the spans share max_nodes equally, and each counts the node past its share
+    cert = search_exact(n, q, m, max_nodes=budget, workers=workers)
+    assert not cert.exact
+    assert cert.nodes_explored <= budget + 4 * workers
 
 
 @pytest.mark.parametrize("n, q, m, reduction", [
@@ -151,8 +164,8 @@ def test_pool_size_capped_at_cpu_count(monkeypatch):
     sizes = []
 
     class Recorder:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, processes):
+            sizes.append(processes)
 
         def __enter__(self):
             return self
@@ -160,10 +173,10 @@ def test_pool_size_capped_at_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def imap(self, fn, iterable):
+            return map(fn, iterable)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(search, "Pool", Recorder)
     cert = search_exact(4, 2, 4, workers=100_000)
     assert sizes == [min(100_000, os.cpu_count() or 1)]
     seq = search_exact(4, 2, 4)
