@@ -254,9 +254,10 @@ def is_m_general_arithmetic(A: PointSet, m: int) -> bool:
     """The m-general test: no zero-sum relation on <= m distinct points.
 
     Meet in the middle (the k-sum injectivity lemma), k = floor(m/2): hash
-    sum c_i (1, s_i) for every j-subset S, j <= k, and every all-nonzero c
-    with gamma = sum c in {0, 1}; for odd m, probe with the (k+1)-subsets
-    and gamma = 1 without inserting them.  A repeat is a nontrivial
+    sum c_i (1, s_i) for every j-subset S, j <= min(k, |A|) (no c is built
+    for a j > |A|, which has no subsets), and every all-nonzero c with
+    gamma = sum c in {0, 1}; for odd m and k < |A|, probe with the
+    (k+1)-subsets and gamma = 1 without inserting them.  A repeat is a nontrivial
     zero-sum relation on at most m distinct points.  Conversely a relation
     of support t <= m splits into halves of sizes floor(t/2) and ceil(t/2)
     whose sums agree, and scaling both by 1/gamma (gamma != 0) moves them
@@ -271,8 +272,8 @@ def is_m_general_arithmetic(A: PointSet, m: int) -> bool:
     _check_m_range(m, A.n)
     field, k = A.field, m // 2
     sums = _weighted_sums(A)
-    keys = chain.from_iterable(sums(_vectors(field, j, (0, 1))) for j in range(1, k + 1))
-    probes = sums(_vectors(field, k + 1, (1,))) if m % 2 else ()
+    keys = chain.from_iterable(sums(_vectors(field, j, (0, 1))) for j in range(1, min(k, len(A)) + 1))
+    probes = sums(_vectors(field, k + 1, (1,))) if m % 2 and k < len(A) else ()
     return not _collides(keys, probes)
 
 

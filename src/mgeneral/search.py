@@ -139,6 +139,27 @@ class SearchCertificate:
         return PointSet.of(field, self.n, self.witness)
 
 
+# The format-1 keys in file order after "format": 1, one row per key (and per
+# SearchCertificate field, in order): key, exact JSON type (a bool is no int),
+# default when a file omits it or ... if it must not.  _PARAMS nest under
+# "params", lists hold strings, and null stands only for a null default.
+_KEYS = (
+    ("n", int, ...),
+    ("q_spec", str, ...),
+    ("m", int, ...),
+    ("value", int, ...),
+    ("exact", bool, ...),
+    ("witness", list, ...),
+    ("nodes_explored", int, ...),
+    ("prune_bound_used", float, None),
+    ("seed", int, None),
+    ("restarts", int, None),
+    ("reductions", list, []),
+    ("toolchain", dict, {}),
+)
+_PARAMS = ("n", "q_spec", "m")
+
+
 def _setup(n: int, q, m: int):
     """(field, q^n, refined bound or None) for a search in F_q^n, q a Field
     or a prime power; raises ValueError for m out of range or an ambient
@@ -499,19 +520,10 @@ def search_greedy(n: int, q, m: int, seed: int = 0, restarts: int = 1) -> Search
 
 
 def certificate_to_json(cert: SearchCertificate) -> str:
-    doc = {
-        "format": 1,
-        "params": {"n": cert.n, "q_spec": cert.q_spec, "m": cert.m},
-        "value": cert.value,
-        "exact": cert.exact,
-        "witness": [" ".join(str(c) for c in p) for p in cert.witness],
-        "nodes_explored": cert.nodes_explored,
-        "prune_bound_used": cert.prune_bound_used,
-        "seed": cert.seed,
-        "restarts": cert.restarts,
-        "reductions": list(cert.reductions),
-        "toolchain": cert.toolchain,
-    }
+    doc = {"format": 1, "params": {}}
+    for key, _, _ in _KEYS:
+        (doc["params"] if key in _PARAMS else doc)[key] = getattr(cert, key)
+    doc["witness"] = [" ".join(map(str, p)) for p in cert.witness]
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -520,41 +532,27 @@ def write_certificate(path, cert: SearchCertificate) -> None:
         fh.write(certificate_to_json(cert))
 
 
-def _typed(doc: dict, key: str, kind: type):
-    """doc[key] if its JSON type is kind exactly: a bool is no integer here,
-    and a float or string is never rounded or parsed into one."""
-    value = doc[key]
-    if type(value) is not kind:
-        raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
-    return value
-
-
 def read_certificate(path) -> SearchCertificate:
     with _path_or_stream(path) as fh:
         text = fh.read()
     try:
         doc = json.loads(text)
-        params = doc["params"]
-        witness = tuple(
-            tuple(int(tok) for tok in line.split()) for line in doc["witness"]
-        )
-        cert = SearchCertificate(
-            n=_typed(params, "n", int),
-            q_spec=str(params["q_spec"]),
-            m=_typed(params, "m", int),
-            value=_typed(doc, "value", int),
-            exact=_typed(doc, "exact", bool),
-            witness=witness,
-            nodes_explored=_typed(doc, "nodes_explored", int),
-            prune_bound_used=doc.get("prune_bound_used"),
-            seed=doc.get("seed"),
-            restarts=doc.get("restarts"),
-            reductions=tuple(doc.get("reductions", ())),
-            toolchain=dict(doc.get("toolchain", {})),
-        )
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
+        if type(doc["format"]) is not int or doc["format"] != 1:
+            raise ValueError(f"unknown format {doc['format']!r}, expected 1")
+        fields = {}
+        for key, kind, default in _KEYS:
+            value = (doc["params"] if key in _PARAMS else doc).get(key, default)
+            if value is ...:
+                raise KeyError(key)
+            if not (type(value) is kind and (kind is not list or all(type(v) is str for v in value))
+                    or value is None and default is None):
+                name = "list of str" if kind is list else kind.__name__
+                raise TypeError(f"{key} must be {name}, got {value!r}")
+            fields[key] = tuple(value) if kind is list else dict(value) if kind is dict else value
+        fields["witness"] = tuple(tuple(int(tok) for tok in line.split()) for line in fields["witness"])
+        return SearchCertificate(**fields)
+    except (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as e:
         raise MalformedCertificateError(f"malformed certificate: {e}") from None
-    return cert
 
 
 def verify_certificate(cert: SearchCertificate) -> bool:

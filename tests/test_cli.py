@@ -410,6 +410,14 @@ _CERT = ('{{"format": 1, "params": {{"n": {n}, "q_spec": "2^1:2", "m": {m}}}, "v
          ' "exact": false, "witness": {witness}, "nodes_explored": 0}}')
 _HUGE_N = 10**20
 _INPUT = "{input}"
+# a VALID certificate as it stands; each key added below breaks it
+_ONE_POINT = _CERT.format(n=2, m=3, value=1, witness='["0 0"]')
+_ZEROS = " 0" * 58
+_THREE_IN_F3_60 = f"format=1\n3^1:3 60 50\n0 0{_ZEROS}\n1 0{_ZEROS}\n0 1{_ZEROS}\n"  # 0, e_1, e_2
+
+
+def _plus(key: str, value: str) -> str:
+    return f'{_ONE_POINT[:-1]}, "{key}": {value}}}'
 
 
 @pytest.mark.parametrize("cert, argv, expected, message", [
@@ -452,15 +460,33 @@ _INPUT = "{input}"
     (None, ["bounds", "--q", "2", "--m", "-1", "--n", "3"], 2, "need m >= 3, got m=-1"),
     (None, ["bounds", "--q", "3", "--m", "1", "--n", "3"], 2, "need m >= 3, got m=1"),
     (None, ["bounds", "--q", "3", "--m", "3", "--n", "-5"], 2, "need n >= 1, got n=-5"),
+    (_ONE_POINT, ["check"], 0, None),
+    (_THREE_IN_F3_60, ["verify"], 0, None),
+    (_THREE_IN_F3_60, ["verify", "--oracle", "arithmetic"], 0, None),
+    (_CERT.format(n=100_000, m=100_000, value=0, witness="[]"), ["check"], 0, None),
+    ("[" * 100_000, ["check"], 2, "malformed certificate: maximum recursion depth exceeded"),
+    (_ONE_POINT.replace('"format": 1', '"format": 2'), ["check"], 2, "unknown format 2, expected 1"),
+    (_ONE_POINT.replace('"format": 1', '"format": true'), ["check"], 2, "unknown format True, expected 1"),
+    (_ONE_POINT.replace('"format": 1', '"format": 1.0'), ["check"], 2, "unknown format 1.0, expected 1"),
+    (_ONE_POINT.replace('"format": 1, ', ""), ["check"], 2, "malformed certificate: 'format'"),
+    (_plus("reductions", '"abc"'), ["check"], 2, "reductions must be list of str, got 'abc'"),
+    (_plus("seed", '"x"'), ["check"], 2, "seed must be int, got 'x'"),
+    (_plus("prune_bound_used", '"x"'), ["check"], 2, "prune_bound_used must be float, got 'x'"),
+    (_plus("toolchain", "[[1, 2]]"), ["check"], 2, "toolchain must be dict, got [[1, 2]]"),
 ], ids=["witness-int", "witness-list", "value-1e400", "n-1e400", "m-1e400", "check-huge-n",
         "verify-huge-n", "bounds-q65536", "bounds-m342", "bounds-m100000", "search-nan-seconds",
         "value-float", "exact-string", "n-float", "search-workers-0", "search-workers-negative",
         "search-q-two-carets", "search-q-word", "bounds-q-word-exponent", "bounds-q-word-base",
         "search-q-negative", "moduli-one-number", "moduli-word", "search-max-nodes-negative",
         "verify-repeated-point", "verify-non-integer", "verify-header-two-tokens", "bounds-q2-m1",
-        "bounds-q2-m-negative", "bounds-q3-m1", "bounds-n-negative"])
+        "bounds-q2-m-negative", "bounds-q3-m1", "bounds-n-negative", "check-one-point",
+        "verify-3-points-m50", "verify-arithmetic-3-points-m50", "check-empty-n-m-100000",
+        "check-nested-json", "format-2", "format-true", "format-float", "format-missing",
+        "reductions-string", "seed-string", "prune-bound-string", "toolchain-list"])
 def test_edge_inputs_exit_cleanly(capsys, tmp_path, cert, argv, expected, message):
-    """Malformed certificates, a huge n in sets and certificates, bounds at
+    """Malformed certificates (a key of the wrong JSON type, an unknown or
+    missing format, JSON nested past the recursion limit), a huge n in sets
+    and certificates, a large m over three points, bounds at
     extreme (q, m), a NaN time budget, a non-positive worker count, a
     negative node budget, a malformed q, a malformed modulus table, a set
     file with a repeated point, a non-integer coordinate or a short header

@@ -6,6 +6,7 @@ import os
 import random
 import time
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 
@@ -16,6 +17,7 @@ from mgeneral.field import field_for_order, make_field
 from mgeneral.search import (
     AmbientMismatchError,
     MalformedCertificateError,
+    SearchCertificate,
     _Flats,
     _kernel,
     _Lifted,
@@ -211,12 +213,20 @@ def test_greedy_seed_changes_witness_order(f3):
 
 
 def test_certificate_round_trip(tmp_path):
-    cert = search_exact(2, 3, 3)
+    """write -> read gives the same certificate and read -> write the same
+    bytes, for exact, node-limited, greedy and two-worker certificates."""
     path = tmp_path / "cert.json"
-    write_certificate(path, cert)
-    loaded = read_certificate(path)
-    assert loaded == cert
-    assert verify_certificate(loaded)
+    for cert in [search_exact(2, 3, 3), search_exact(3, 3, 3, max_nodes=50),
+                 search_greedy(4, 3, 3, seed=2, restarts=3), search_exact(5, 2, 4, workers=2)]:
+        write_certificate(path, cert)
+        loaded = read_certificate(path)
+        assert loaded == cert
+        assert certificate_to_json(loaded) == path.read_text()
+        assert verify_certificate(loaded)
+
+
+def test_certificate_fields_follow_the_key_table():
+    assert [f.name for f in fields(SearchCertificate)] == [key for key, _, _ in search._KEYS]
 
 
 def test_certificate_witness_mutation_detected():
