@@ -33,9 +33,14 @@ docstring) and m otherwise.  q, and for q > 2 the ambient, picks the kernel:
   the s = 1 slice of C(W_{m-2}) is blocked and each W_j gains C(W_{j-1}).
   C(W) is d ceil(log2 p) doublings W |= W + 2^k p^i y, and each translate
   is one rotation of a base-p digit per nonzero digit of the vector (two
-  ANDs, two shifts, one OR with precomputed masks), so a node costs at most
-  (m-1) d^2 (n+1) ceil(log2 p) rotations of q^(n+1)-bit masks whatever
-  |A| is.  The (n+1) d (p-1) digit masks take 39 MB at q = 101, n = 2.
+  ANDs, two shifts, one OR with precomputed masks).  W_0 = {0}, W_1, ...,
+  W_{m-2} are packed per = max(1, min(m-1, PACK_BITS // q^(n+1))) blocks
+  to an int, and one closure pass covers every block of an int, so a node
+  costs at most ceil((m-1)/per) d^2 (n+1) ceil(log2 p) rotations of
+  per q^(n+1)-bit ints whatever |A| is.  Rotations of ints over PACK_BITS
+  cost more than the Python steps they save, so large ambients keep
+  per = 1 and the (n+1) d (p-1) digit masks on q^(n+1) bits: 39 MB at
+  q = 101, n = 2.
 * Blocked flats (`_Flats`, q > 2 and n = 1, or q^(n+1) >= AMBIENT_LIMIT,
   where the lifted masks cost more than they save):
   A + {p} is m-general exactly when p lies in no affine hull of
@@ -63,10 +68,11 @@ Budgets: `search_exact` splits the second points into spans (one, or
 of second points; every allowed point above the window's start still
 counts toward the size bound, so the pruning is that of the unsplit search.
 `_Run.run` is one loop over a list of frames, not Python calls, so search
-depth is limited only by the budgets.  `_Run.visit` makes every stop: at
-the cap, past the span's share max_nodes // spans, or past the deadline on
-the system-wide monotonic clock, read at every node.  Both budgets (>= 0)
-cover the whole run: spans are collected in order until one reaches the cap.
+depth is limited only by the budgets.  That loop makes every stop, with no
+call per node: at the cap, past the span's share max_nodes // spans, or
+past the deadline on the system-wide monotonic clock, read at every node.
+Both budgets (>= 0) cover the whole run: spans are collected in order until
+one reaches the cap.
 
 Certificates are JSON files carrying the witness and enough provenance to
 re-verify from scratch; `verify_certificate` re-runs both the geometric and
@@ -106,6 +112,7 @@ DEFAULT_MAX_NODES = 100_000_000
 DEFAULT_MAX_SECONDS = 300.0
 
 AMBIENT_LIMIT = 1 << 20  # points in the ambient space
+PACK_BITS = 1 << 13  # most bits of _Lifted masks packed into one int
 
 # the reduction a certificate names for each reason of bounds.search_cap
 _CAP_REDUCTIONS = {"counting": "refined-bound-cap", "dimension": "dimension-cap", "arc": "arc-cap"}
@@ -200,51 +207,50 @@ class _Run:
         self.size = 1  # the origin; a cap, where there is one, is at least 2
         self.witness = [0]
 
-    def visit(self, codes: list[int]) -> bool:
-        """Keep codes if larger than the best; True to search below them.
-
-        False, with `stopped` set, at the cap (the node is not counted),
-        past the node budget or past the deadline.
-        """
-        if len(codes) > self.size:
-            self.size = len(codes)
-            self.witness = list(codes)
-            if self.cap is not None and self.size >= self.cap:
-                self.stopped = True
-                return False
-        self.nodes += 1
-        if self.nodes > self.max_nodes or time.monotonic() > self.deadline:
-            self.stopped = True
-        return not self.stopped
-
     def run(self) -> _Run:
         """The search from the origin; returns self.  codes is the current
         set A; frames holds a (state, allowed, remaining) frame for each
         parent of A, allowed the points it has yet to try and remaining
         the count toward the size bound.  Only the bottom frame is masked
-        by the window; every child allows all points above its new code."""
+        by the window; every child allows all points above its new code.
+
+        Each node is counted unless it reaches the cap; the search stops
+        there, past the node budget or past the deadline, with `stopped`
+        set."""
         # built in the span's own process: _Flats' lookup closures do not pickle
         kernel = _kernel(self.field, self.n, self.m)
-        full, extend, visit = kernel.full, kernel.extend, self.visit
+        full, extend, clock = kernel.full, kernel.extend, time.monotonic
+        cap = self.cap if self.cap is not None else float("inf")
+        max_nodes, deadline, size, nodes = self.max_nodes, self.deadline, self.size, self.nodes
         state, codes, frames = extend(kernel.empty, 0), [0], []
         allowed = ~state[0] & full & -(1 << self.lo)
         remaining = allowed.bit_count()
         allowed &= (1 << self.hi) - 1  # the window [lo, hi)
-        while True:
-            if allowed and len(codes) + remaining > self.size:
-                low = allowed & -allowed
-                codes.append(low.bit_length() - 1)
-                if not visit(codes):  # False only once stopped
+        try:
+            while True:
+                if allowed and len(codes) + remaining > size:
+                    low = allowed & -allowed
+                    codes.append(low.bit_length() - 1)
+                    if len(codes) > size:
+                        size, self.witness = len(codes), list(codes)
+                        if size >= cap:
+                            self.stopped = True
+                            return self
+                    nodes += 1
+                    if nodes > max_nodes or clock() > deadline:
+                        self.stopped = True
+                        return self
+                    frames.append((state, allowed ^ low, remaining - 1))
+                    state = extend(state, codes[-1])
+                    allowed = ~state[0] & full & -(low << 1)
+                    remaining = allowed.bit_count()
+                elif frames:
+                    state, allowed, remaining = frames.pop()
+                    codes.pop()
+                else:
                     return self
-                frames.append((state, allowed ^ low, remaining - 1))
-                state = extend(state, codes[-1])
-                allowed = ~state[0] & full & -(low << 1)
-                remaining = allowed.bit_count()
-            elif frames:
-                state, allowed, remaining = frames.pop()
-                codes.pop()
-            else:
-                return self
+        finally:
+            self.size, self.nodes = size, nodes
 
 
 # -- blocked-set kernels -----------------------------------------------------------
@@ -318,27 +324,38 @@ class _Lifted:
     """Lifted secant-mask kernel (see the module docstring) for one
     (field, n, m), n >= 2 and q^(n+1) < AMBIENT_LIMIT.
 
-    The state is (blocked, W_1, ..., W_{m-2}), W_j a mask over the lifted
-    codes s q^n + code(v) of F_q^(n+1).  A code is (n+1) d base-p digits and
-    addition is digit-wise mod p, so translating a mask by c p^k rotates
-    digit k: `(W & below[k][p-c]) << c p^k | (W >> (p-c) p^k) & below[k][c]`,
-    with below[k][t] the codes whose digit k is under t.  `rots[i][e]` holds
-    these rotations for the nonzero digits of e in coordinate i (0 being s),
-    and `scaled` the rows of lambda * e for the lambda = (2^k mod p) p^i whose
-    translates double a mask up to its closure under the line F_q (1, x).
+    The state is (blocked, *ints), the ints holding W_0 = {0}, W_1, ...,
+    W_{m-2}, each a mask over the lifted codes s q^n + code(v) of F_q^(n+1),
+    in blocks of S = q^(n+1) bits from the lowest, per = max(1, min(m-1,
+    PACK_BITS // S)) blocks to an int (per = 1 on large ambients).  A
+    code is (n+1) d base-p digits and addition is digit-wise mod p, so
+    translating a mask by c p^k rotates digit k:
+    `(W & below[k][p-c]) << c p^k | (W >> (p-c) p^k) & below[k][c]`, with
+    below[k][t] the codes whose digit k is under t.  These masks repeat with
+    a period dividing S, so one rotation moves every block of an int and no
+    carry crosses a block.  There is one step per lambda = (2^j mod p) p^k,
+    whose translates double a mask up to its closure under the line
+    F_q (1, x); `steps[r][i][e]` holds the rotations that add lambda * e in
+    coordinate i (0 being s), one per nonzero digit.
     """
 
-    __slots__ = ("full", "empty", "top", "rots", "scaled", "n", "q")
+    __slots__ = ("full", "empty", "steps", "n", "q", "block", "lows", "carry", "slice")
 
     def __init__(self, field: Field, n: int, m: int):
         p, d, q = field.p, field.d, field.q
         self.n, self.q = n, q
-        self.top = q**n
         self.full = (1 << q**n) - 1
-        self.empty = (0,) + (1,) * (m - 2)  # each W_j = {0}
-        size = q ** (n + 1)
-        below = [[_digit_mask(p, k, t, size) for t in range(p)] for k in range((n + 1) * d)]
-        self.rots = []
+        size = self.block = q ** (n + 1)
+        per = max(1, min(m - 1, PACK_BITS // size))
+        ints, last = divmod(m - 2, per)  # W_{m-2} is block `last` of int `ints`
+        self.empty = (0,) + (sum(1 << b * size for b in range(per)),) * ints + (
+            sum(1 << b * size for b in range(last + 1)),)  # each W_j = {0}
+        # the blocks of an int that move up one within it; the top one carries
+        self.lows = [(1 << (per - 1) * size) - 1] * ints + [(1 << last * size) - 1]
+        self.carry = (per - 1) * size
+        self.slice = last * size + q**n  # the s = 1 slice of W_{m-2}
+        below = [[_digit_mask(p, k, t, per * size) for t in range(p)] for k in range((n + 1) * d)]
+        rots = []  # rots[i][e]: the rotations adding e in coordinate i
         for i in range(n + 1):
             row = []
             for e in range(q):
@@ -350,30 +367,30 @@ class _Lifted:
                         w = p**k
                         rot.append((below[k][p - c], c * w, (p - c) * w, below[k][c]))
                 row.append(tuple(rot))
-            self.rots.append(row)
+            rots.append(row)
         doublings = (p - 1).bit_length()  # 2^doublings >= p
-        self.scaled = [[field.mul(pow(2, j, p) * p**i, e) for e in range(q)]
-                       for i in range(d) for j in range(doublings)]
+        self.steps = [[[rots[i][field.mul(lam, e)] for e in range(q)] for i in range(n + 1)]
+                      for lam in (pow(2, j, p) * p**k for k in range(d) for j in range(doublings))]
 
     def extend(self, state, code: int):
-        """The point x with this code joins A, y = (1, x): block the s = 1
-        slice of C(W_{m-2}), then W_j |= C(W_{j-1}) with the old W_{j-1},
-        C(W) being W + F_q y."""
-        blocked, *ws = state
+        """The point x with this code joins A, y = (1, x): with C(W) = W + F_q y
+        closing every block at once, block the s = 1 slice of C(W_{m-2}), and
+        W_j |= C(W_{j-1}) with the old W_{j-1}, one block up."""
+        blocked, *packed = state
         coords = (1, *_decode(self.q, self.n, code))
-        rots = self.rots
-        steps = [[r for i, e in enumerate(coords) for r in rots[i][row[e]]]
-                 for row in self.scaled]
-        closed = []
-        for w in (1, *ws):
+        steps, block, carry = self.steps, self.block, self.carry
+        grown, up = [], 0
+        for w, low in zip(packed, self.lows):
+            old = w
             for step in steps:
                 t = w
-                for lo, up, down, hi in step:
-                    t = (t & lo) << up | (t >> down) & hi
+                for rots, e in zip(step, coords):
+                    for lo, shift, down, hi in rots[e]:
+                        t = (t & lo) << shift | (t >> down) & hi
                 w |= t
-            closed.append(w)
-        blocked |= closed[-1] >> self.top & self.full
-        return (blocked, *(w | c for w, c in zip(ws, closed)))
+            grown.append(old | up | (w & low) << block)
+            up = w >> carry if carry else w  # a shift by 0 would copy w
+        return (blocked | w >> self.slice & self.full, *grown)
 
 
 class _SubsetSums:

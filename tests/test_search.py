@@ -298,19 +298,31 @@ _GRID = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
     ids=[f"{p}-{d}" for p, d in _GRID] + [f"flats-{p}-{d}" for p, d in _GRID]
     + ["flats-2-11", "subsetsums-2-1"],
 )
-def test_flat_kernel_matches_rank_test(p, d, kernel, ns):
+def test_flat_kernel_matches_rank_test(p, d, kernel, ns, monkeypatch):
     """After each point of a seeded m-general set joins, the kernel's allowed
     points are exactly those the incremental rank test accepts, for every m
     in 3..n+2.  Each kernel is built directly, whichever one `_kernel` would
     pick.  GF(2048) at n = 1 runs `_Flats` on Field methods (q^2 >
-    AMBIENT_LIMIT); `_SubsetSums` at n = 4, 5 reaches m = 6, 7, k = 3."""
+    AMBIENT_LIMIT); `_SubsetSums` at n = 4, 5 reaches m = 6, 7, k = 3.
+    `_Lifted` runs with 1, ceil((m-1)/2) and m-1 of its m-1 blocks to an
+    int, PACK_BITS set to fit them: the top int full or not, and a carry
+    between ints or none."""
     field = make_field(p, d)
+    for per in [lambda m: 1, lambda m: m // 2, lambda m: m - 1] if kernel is _Lifted else [None]:
+        _check_kernel_layout(field, kernel, ns, per, monkeypatch)
+
+
+def _check_kernel_layout(field, kernel, ns, per, monkeypatch):
     q = field.q
     rng = random.Random(f"flats:{q}")
     for n in ns:
         everything = _all_points(q, n)
         for m in range(3, n + 3):
+            if per is not None:
+                monkeypatch.setattr(search, "PACK_BITS", per(m) * q ** (n + 1))
             blocks = kernel(field, n, m)
+            if per is not None:  # one int per per(m) blocks, plus the blocked mask
+                assert len(blocks.empty) == 1 + -(-(m - 1) // per(m)), (n, m)
             limit = m + (1 if q**n > 100 else 3)
             pts, state = [], blocks.empty
             for _ in range(50 * limit):
@@ -358,6 +370,26 @@ def test_kernel_choice_at_the_ambient_limit(monkeypatch):
     for q, n in flat_cells:
         _kernel(field_for_order(q), n, 3)
     assert built == [("_Lifted", 101, 2, 3)] + [("_Flats", q, n, 3) for q, n in flat_cells]
+
+
+@pytest.mark.parametrize("q, n, m", [(101, 2, 3), (13, 4, 3)])
+def test_lifted_keeps_one_block_per_int_on_large_ambients(q, n, m):
+    """Where S = q^(n+1) > PACK_BITS, `_Lifted` keeps each W_j in its own int
+    and builds its digit masks on S bits, so the (n+1) d (p-1) of them stay
+    within their S/8 bytes each (39 MB at q = 101); packing two blocks would
+    double that."""
+    field = field_for_order(q)
+    size = q ** (n + 1)
+    tracemalloc.start()
+    lifted = _kernel(field, n, m)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert isinstance(lifted, _Lifted) and size > search.PACK_BITS
+    assert len(lifted.empty) == 1 + (m - 1)
+    masks = [mask for step in lifted.steps for coordinate in step for rots in coordinate
+             for rot in rots for mask in rot[::3]]
+    assert max(mask.bit_length() for mask in masks) <= size
+    assert peak < 1.1 * (n + 1) * field.d * (field.p - 1) * size / 8
 
 
 @pytest.mark.parametrize("n,m,value,seconds", [(19, 6, 60, 10), (16, 3, 1 << 16, 5)])
