@@ -62,6 +62,19 @@ Pruning, both rules always on:
   at any size is the lex-least one of that size, so the set that reaches
   the cap is the lex-least maximum the exhausted search would report.
 
+Leaf pass: many nodes sit at the best size and only find out that they
+cannot grow.  When a node other than the origin holds best - 1 points, each
+child it tries sits at the best size, and is a leaf unless some allowed
+point above the child stays free once the child joins, which would make a
+new best.  `_Run.run` asks the kernel's `leading_leaves` how many of the
+lowest allowed codes are leaves (the last one is never tried: the size
+bound stops first), counts each leaf as a node under the same stop rules
+and drops it with no extend, push or pop; the next child, if any, is a new
+best and is pushed as before.  The subset-sum kernel answers with one bit
+test of E_{k-1} per pair of codes, or one translate of E_{k-1} where the
+codes above x outnumber the set bits of x; `_Lifted` and `_Flats` extend
+by each code.  Nodes, values and witnesses are those of the plain loop.
+
 Budgets: `search_exact` splits the second points into spans (one, or
 4 * workers in a pool of min(workers, CPUs) processes).  A span is one
 `_Run` record: the search from the origin whose first level is a window
@@ -216,10 +229,15 @@ class _Run:
 
         Each node is counted unless it reaches the cap; the search stops
         there, past the node budget or past the deadline, with `stopped`
-        set."""
+        set.  Leaf pass (see the module docstring): a frame above the bottom
+        one whose set is one short of the best size counts its leading
+        leaves one node at a time under the same stops and drops them with
+        no extend, then pops or pushes its next child, a new best.  The
+        bottom frame's allowed is windowed, its children's are not, so it
+        keeps the plain path."""
         # built in the span's own process: _Flats' lookup closures do not pickle
         kernel = _kernel(self.field, self.n, self.m)
-        full, extend, clock = kernel.full, kernel.extend, time.monotonic
+        full, extend, leaves, clock = kernel.full, kernel.extend, kernel.leading_leaves, time.monotonic
         cap = self.cap if self.cap is not None else float("inf")
         max_nodes, deadline, size, nodes = self.max_nodes, self.deadline, self.size, self.nodes
         state, codes, frames = extend(kernel.empty, 0), [0], []
@@ -228,11 +246,21 @@ class _Run:
         allowed &= (1 << self.hi) - 1  # the window [lo, hi)
         try:
             while True:
-                if allowed and len(codes) + remaining > size:
+                if allowed and (depth := len(codes)) + remaining > size:
+                    if depth == size - 1 and frames:  # every child is at the best size
+                        for _ in range(leaves(state, allowed)):
+                            nodes += 1
+                            if nodes > max_nodes or clock() > deadline:
+                                self.stopped = True
+                                return self
+                            allowed &= allowed - 1
+                            remaining -= 1
+                        if remaining < 2:  # only the last code is left: pop
+                            continue
                     low = allowed & -allowed
                     codes.append(low.bit_length() - 1)
-                    if len(codes) > size:
-                        size, self.witness = len(codes), list(codes)
+                    if depth == size:  # a new best
+                        size, self.witness = depth + 1, list(codes)
                         if size >= cap:
                             self.stopped = True
                             return self
@@ -255,9 +283,23 @@ class _Run:
 
 # -- blocked-set kernels -----------------------------------------------------------
 #
-# A kernel has `full` (every point code), an `empty` state and
-# `extend(state, code) -> state` for a point joining A; the first field of a
-# state is the blocked mask, the codes that can no longer join A.
+# A kernel has `full` (every point code), an `empty` state,
+# `extend(state, code) -> state` for a point joining A, and
+# `leading_leaves(state, allowed) -> int`, allowed a set of codes free in
+# state, for the search's leaf pass; the first field of a state is the
+# blocked mask, the codes that can no longer join A.
+
+
+def _leaves_by_extend(kernel, state, allowed) -> int:
+    """How many of the lowest codes x of allowed, the last one excepted, leave
+    no allowed code above x free once x joins A: one extend per code."""
+    count, extend = 0, kernel.extend
+    while True:
+        low = allowed & -allowed
+        allowed ^= low
+        if not allowed or allowed & ~extend(state, low.bit_length() - 1)[0]:
+            return count
+        count += 1
 
 
 def _digit_mask(p: int, k: int, t: int, size: int) -> int:
@@ -318,6 +360,8 @@ class _Flats:
                     grown.append((new, i + 1))
             level = grown
         return blocked, pts + (x,)
+
+    leading_leaves = _leaves_by_extend
 
 
 class _Lifted:
@@ -392,6 +436,8 @@ class _Lifted:
             up = w >> carry if carry else w  # a shift by 0 would copy w
         return (blocked | w >> self.slice & self.full, *grown)
 
+    leading_leaves = _leaves_by_extend
+
 
 class _SubsetSums:
     """Subset-sum kernel for q = 2, k = floor(m/2) (see the module docstring).
@@ -421,6 +467,37 @@ class _SubsetSums:
                 moved = (moved & mask) << v | (moved >> v) & mask
         low = 1 << code
         return blocked | low | moved >> self.top, (packed | moved << self.block | low) & self.packed
+
+    def leading_leaves(self, state, allowed) -> int:
+        """How many of the lowest codes x of allowed, the last one excepted,
+        leave no allowed code y above x free once x joins A.  x blocks {x}
+        and x xor E_{k-1}, so y stays free exactly when bit x xor y of
+        E_{k-1} is clear: one bit test per pair while the codes above x are
+        no more than the swaps of a translate of E_{k-1} by x, the translate
+        otherwise.  At k = 1 there is no block and x blocks x alone."""
+        sums, swaps = state[1] >> self.top, self.swaps
+        count = 0
+        while True:
+            low = allowed & -allowed
+            allowed ^= low
+            if not allowed:
+                return count
+            x = low.bit_length() - 1
+            if allowed.bit_count() <= x.bit_count():
+                rest = allowed
+                while rest:
+                    y = rest & -rest
+                    if not sums >> (x ^ y.bit_length() - 1) & 1:
+                        return count
+                    rest ^= y
+            else:
+                moved = sums
+                for v, mask in swaps:
+                    if x & v:
+                        moved = (moved & mask) << v | (moved >> v) & mask
+                if allowed & ~moved:
+                    return count
+            count += 1
 
 
 def _kernel(field: Field, n: int, m: int):

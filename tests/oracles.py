@@ -4,7 +4,9 @@ Everything here is deliberately written from the definitions, sharing no
 algorithmic machinery with the package: multiplication is schoolbook
 polynomial arithmetic, affine dependence enumerates coefficient vectors,
 inverses are found by scanning, and the search oracle is an unpruned DFS
-with no symmetry reduction.
+with no symmetry reduction.  `pruned_search_replay` is the one exception:
+it replays the package's pruned search rules on the rank test, so that
+node counts, not just values, can be compared.
 """
 
 from __future__ import annotations
@@ -267,6 +269,48 @@ def brute_force_max(field, n: int, m: int, node_budget: int = 10_000_000,
     if not completed:
         return None
     return best["size"], best["witness"], best["nodes"]
+
+
+def pruned_search_replay(field, n: int, m: int, max_nodes: int):
+    """The exact search's tree, replayed on `affine.add_point_preserves`:
+    the origin fixed and not counted, points in canonical order (codes with
+    the first coordinate most significant), lowest first, and a child tried
+    only while |A| plus the candidates left beats the best size.  The node
+    that reaches `bounds.search_cap` ends the run uncounted; the node past
+    max_nodes ends it counted.  One worker, no clock.  A point blocked for
+    A stays blocked for every superset, so a child tests only the points
+    its parent allowed.  Returns (value, witness points, exact, nodes)."""
+    from mgeneral.affine import PointSet, add_point_preserves
+    from mgeneral.bounds import search_cap
+
+    q = field.q
+    points = [tuple(code // q ** (n - 1 - j) % q for j in range(n)) for code in range(q**n)]
+    cap = search_cap(n, q, m)[0]
+    best = {"codes": [0], "nodes": 0, "stopped": False}
+
+    def dfs(A, codes, allowed) -> bool:  # False once the run ends
+        for i, code in enumerate(allowed):
+            if len(codes) + len(allowed) - i <= len(best["codes"]):
+                return True
+            grown = codes + [code]
+            if len(grown) > len(best["codes"]):
+                best["codes"] = grown
+                if cap is not None and len(grown) >= cap:
+                    return False
+            best["nodes"] += 1
+            if best["nodes"] > max_nodes:
+                best["stopped"] = True
+                return False
+            child = A.with_point(points[code])
+            later = [c for c in allowed[i + 1:] if add_point_preserves(child, points[c], m)]
+            if not dfs(child, grown, later):
+                return False
+        return True
+
+    origin = PointSet.of(field, n, [points[0]])
+    dfs(origin, [0], [c for c in range(1, q**n) if add_point_preserves(origin, points[c], m)])
+    codes = best["codes"]
+    return len(codes), tuple(points[c] for c in codes), not best["stopped"], best["nodes"]
 
 
 def greedy_reference(field, n: int, m: int, seed: int, restarts: int):

@@ -29,7 +29,7 @@ from mgeneral.search import (
     verify_certificate,
     write_certificate,
 )
-from oracles import brute_force_max, greedy_reference
+from oracles import brute_force_max, greedy_reference, pruned_search_replay
 
 
 def test_trivial_line():
@@ -88,13 +88,18 @@ def test_expired_deadline_stops_every_span_at_its_first_node():
 
 
 def test_clock_read_at_every_node(monkeypatch):
-    # a fake clock one second later at each reading: the deadline 0 + 5 is
-    # passed at the sixth node, which is the last one counted; no cap stops
-    # (3, 3, 4) before its 2,722 nodes
-    monkeypatch.setattr(search.time, "monotonic", itertools.count().__next__)
-    cert = search_exact(3, 3, 4, max_seconds=5)
-    assert not cert.exact
-    assert cert.nodes_explored == 6
+    # a fake clock one second later at each reading: the deadline 0 + s is
+    # passed at node s + 1, which is the last one counted, and the clock is
+    # read once for the deadline and once per node.  No cap stops (3, 3, 4)
+    # before its 2,722 nodes; (5, 2, 4) passes its deadline at node 13,
+    # inside the 14 leaves after node 6 that the leaf pass counts.
+    for n, q, m, seconds in [(3, 3, 4, 5), (5, 2, 4, 12)]:
+        readings = itertools.count()
+        monkeypatch.setattr(search.time, "monotonic", readings.__next__)
+        cert = search_exact(n, q, m, max_seconds=seconds)
+        assert not cert.exact
+        assert cert.nodes_explored == seconds + 1
+        assert next(readings) == 1 + cert.nodes_explored
 
 
 @pytest.mark.parametrize("max_seconds", [float("nan"), -1.0])
@@ -113,12 +118,30 @@ def test_max_seconds_must_be_nonnegative(max_seconds):
     (2, 5, 3, {}, (6, True, 4)),  # stops at the arc cap q + 1
     (2, 9, 4, {}, (3, True, 1)),  # stops at the dimension cap n + 1
     (4, 3, 3, {"max_nodes": 60}, (18, False, 61)),
-], ids=["q2n4m4", "q2n5m4", "q2n5m4w2", "q3n3m4", "q3n3m4w2", "q5n2m3", "q9n2m4", "q3n4m3lim"])
+    (6, 2, 4, {"max_nodes": 200_000}, (9, False, 200_001)),
+], ids=["q2n4m4", "q2n5m4", "q2n5m4w2", "q3n3m4", "q3n3m4w2", "q5n2m3", "q9n2m4", "q3n4m3lim",
+        "q2n6m4lim"])
 def test_exact_search_node_counts(n, q, m, kwargs, expected):
     # the stop rule fixes these: the node that reaches the cap is not counted,
     # and a span stops on the node past its budget
     cert = search_exact(n, q, m, **kwargs)
     assert (cert.value, cert.exact, cert.nodes_explored) == expected
+
+
+@pytest.mark.parametrize("n, q, m, max_nodes", [
+    (4, 2, 4, search.DEFAULT_MAX_NODES), (3, 3, 4, search.DEFAULT_MAX_NODES),
+    (5, 2, 4, 12), (5, 2, 4, 130), (5, 2, 4, 190), (3, 3, 3, 500), (4, 3, 3, 60),
+])
+def test_node_counts_match_rank_test_replay(n, q, m, max_nodes):
+    """The search's nodes, value, witness and exact flag equal those of the
+    same tree replayed on the rank test (`oracles.pruned_search_replay`),
+    which shares no code with the kernels or the leaf pass.  (5, 2, 4)
+    stops inside leaf runs: at nodes 13, 131 and 191, in the runs of 14, 15
+    and 15 leaves after nodes 6, 123 and 182."""
+    field = field_for_order(q)
+    cert = search_exact(n, field, m, max_nodes=max_nodes)
+    got = (cert.value, cert.witness, cert.exact, cert.nodes_explored)
+    assert got == pruned_search_replay(field, n, m, max_nodes)
 
 
 def test_worker_partition_determinism(f3):
@@ -289,15 +312,17 @@ def _all_points(q, n):
 
 
 _GRID = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
-
-
-@pytest.mark.parametrize(
+# (p, d, kernel class, dimensions n): every kernel and layout, by field
+_KERNEL_GRID = pytest.mark.parametrize(
     "p,d,kernel,ns",
     [(p, d, _Lifted, (2, 3)) for p, d in _GRID] + [(p, d, _Flats, (2, 3)) for p, d in _GRID]
     + [(2, 11, _Flats, (1,)), (2, 1, _SubsetSums, (2, 3, 4, 5))],
     ids=[f"{p}-{d}" for p, d in _GRID] + [f"flats-{p}-{d}" for p, d in _GRID]
     + ["flats-2-11", "subsetsums-2-1"],
 )
+
+
+@_KERNEL_GRID
 def test_flat_kernel_matches_rank_test(p, d, kernel, ns, monkeypatch):
     """After each point of a seeded m-general set joins, the kernel's allowed
     points are exactly those the incremental rank test accepts, for every m
@@ -339,6 +364,49 @@ def _check_kernel_layout(field, kernel, ns, per, monkeypatch):
                 want = {A.encode(y) for y in everything if y not in A and add_point_preserves(A, y, m)}
                 assert {c for c in range(q**n) if allowed >> c & 1} == want, (n, m, pts)
             assert len(pts) >= min(limit, m - 1), (n, m)
+
+
+def _leaf_recount(kernel, state, allowed):
+    """leading_leaves by its definition, one extend per code: how many of the
+    lowest codes x of allowed, the last one excepted, leave no allowed code
+    above x free once x joins."""
+    codes = [c for c in range(allowed.bit_length()) if allowed >> c & 1]
+    for i, x in enumerate(codes[:-1]):
+        blocked = kernel.extend(state, x)[0]
+        if any(not blocked >> y & 1 for y in codes[i + 1:]):
+            return i
+    return max(len(codes) - 1, 0)
+
+
+@_KERNEL_GRID
+def test_leading_leaves_matches_extend_recount(p, d, kernel, ns, monkeypatch):
+    """At random states along random m-general sets, for m in 3..n+2, the
+    kernel's leading_leaves equals the recount from extend on sets of free
+    codes drawn at random: a few (pair tests in `_SubsetSums`), or up to 64
+    (a translate of E_{k-1}, wherever more codes lie above x than x has set
+    bits).  `_Lifted` runs with one block to an int and with all m-1."""
+    field = make_field(p, d)
+    q = field.q
+    rng = random.Random(f"leaves:{q}:{kernel.__name__}")
+    found = 0
+    for per in [lambda m: 1, lambda m: m - 1] if kernel is _Lifted else [None]:
+        for n in ns:
+            for m in range(3, n + 3):
+                if per is not None:
+                    monkeypatch.setattr(search, "PACK_BITS", per(m) * q ** (n + 1))
+                blocks = kernel(field, n, m)
+                state = blocks.empty
+                for _ in range(m + 3):
+                    free = [c for c in range(q**n) if not state[0] >> c & 1]
+                    if not free:
+                        break
+                    for size in (1, 2, 3, 5, 64):
+                        allowed = sum(1 << c for c in rng.sample(free, min(size, len(free))))
+                        got = blocks.leading_leaves(state, allowed)
+                        assert got == _leaf_recount(blocks, state, allowed), (n, m, state, allowed)
+                        found += got
+                    state = blocks.extend(state, rng.choice(free))
+    assert found  # leaves were found
 
 
 def test_kernel_choice_at_the_ambient_limit(monkeypatch):
