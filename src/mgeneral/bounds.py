@@ -23,7 +23,9 @@ two closed-form caps, and `within_cap` tests a claimed value against the
 same caps:
 
 * dimension, m = n + 2: r = n + 1, as any n + 2 points of AG(n,q) are
-  affinely dependent and a frame {0, e_1, ..., e_n} is (n+2)-general;
+  affinely dependent and a frame {0, e_1, ..., e_n} is (n+2)-general; also
+  q = 2, m = n + 1 with n odd, as a relation over F_2 has even support, so
+  one on n + 2 points (an odd number) leaves out at least one of them;
 * arc, n = 2 and m = 3: r <= q + 1 for odd q and q + 2 for even q, as an
   affine arc is an arc of PG(2,q) (Bose 1947).
 """
@@ -130,11 +132,11 @@ def integer_cap(n: int, q: int, m: int) -> int:
 
 
 def _closed_form_cap(n: int, q: int, m: int) -> tuple[int, str] | None:
-    """The dimension or the arc cap where one applies (never both, as
-    m = n + 2 = 3 needs n = 1), else None."""
+    """The dimension or the arc cap where one applies (never both: at
+    n = 2 the dimension cap needs m = 4), else None."""
     if n < 1 or q < 2 or m < 3:
         raise ValueError(f"need n >= 1, a prime power q >= 2 and m >= 3, got n={n}, q={q}, m={m}")
-    if m == n + 2:
+    if m == n + 2 or q == 2 and m == n + 1 and n % 2:
         return n + 1, "dimension"
     if n == 2 and m == 3:
         return q + 2 - q % 2, "arc"

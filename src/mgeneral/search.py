@@ -57,7 +57,8 @@ Pruning, both rules always on:
   and the search stops, still exact.  The cap is the least that applies,
   and `reductions` names it: `refined-bound-cap`, the counting bound's
   integer cap max{x : L C(x, k) <= q^n} for m >= 4; `dimension-cap`, n + 1
-  for m = n + 2; `arc-cap`, q + 2 - q mod 2 for n = 2 and m = 3 (Bose).
+  for m = n + 2, and for q = 2, m = n + 1 with n odd; `arc-cap`,
+  q + 2 - q mod 2 for n = 2 and m = 3 (Bose).
   The cap changes nodes, never witnesses: the first set the search reaches
   at any size is the lex-least one of that size, so the set that reaches
   the cap is the lex-least maximum the exhausted search would report.
@@ -75,11 +76,13 @@ test of E_{k-1} per pair of codes, or one translate of E_{k-1} where the
 codes above x outnumber the set bits of x; `_Lifted` and `_Flats` extend
 by each code.  Nodes, values and witnesses are those of the plain loop.
 
-Budgets: `search_exact` splits the second points into spans (one, or
-4 * workers in a pool of min(workers, CPUs) processes).  A span is one
-`_Run` record: the search from the origin whose first level is a window
-of second points; every allowed point above the window's start still
-counts toward the size bound, so the pruning is that of the unsplit search.
+Budgets: `search_exact` splits the second points into spans, one or
+4 * workers.  A span is one `_Run` record: the search from the origin whose
+first level is a window of second points; every allowed point above the
+window's start still counts toward the size bound, so the pruning is that
+of the unsplit search.  The search process runs span 0, the heaviest, and
+min(workers, CPUs, spans) - 1 helper processes take the others in order
+from one shared counter (`_run_in_order`); each process builds one kernel.
 `_Run.run` is one loop over a list of frames, not Python calls, so search
 depth is limited only by the budgets.  That loop makes every stop, with no
 call per node: at the cap, past the span's share max_nodes // spans, or
@@ -96,12 +99,11 @@ cap of `bounds.within_cap`.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import random
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
-from multiprocessing import Pool
 from operator import getitem, mul
 
 from . import __version__
@@ -220,8 +222,10 @@ class _Run:
         self.size = 1  # the origin; a cap, where there is one, is at least 2
         self.witness = [0]
 
-    def run(self) -> _Run:
-        """The search from the origin; returns self.  codes is the current
+    def run(self, kernel) -> _Run:
+        """The search from the origin with kernel, the blocked-set kernel of
+        (field, n, m), built once per process (`_Flats`' lookup closures do
+        not pickle); returns self.  codes is the current
         set A; frames holds a (state, allowed, remaining) frame for each
         parent of A, allowed the points it has yet to try and remaining
         the count toward the size bound.  Only the bottom frame is masked
@@ -235,8 +239,6 @@ class _Run:
         no extend, then pops or pushes its next child, a new best.  The
         bottom frame's allowed is windowed, its children's are not, so it
         keeps the plain path."""
-        # built in the span's own process: _Flats' lookup closures do not pickle
-        kernel = _kernel(self.field, self.n, self.m)
         full, extend, leaves, clock = kernel.full, kernel.extend, kernel.leading_leaves, time.monotonic
         cap = self.cap if self.cap is not None else float("inf")
         max_nodes, deadline, size, nodes = self.max_nodes, self.deadline, self.size, self.nodes
@@ -530,6 +532,75 @@ def _make_certificate(field, n, m, codes, bound, **fields) -> SearchCertificate:
     )
 
 
+def _helper(spans, taken, conn) -> None:
+    """A helper process: run the spans not yet taken (the shared counter
+    taken) and send (index, record or exception) for each on conn, then
+    (None, None); an exception ends the loop."""
+    kernel = _kernel(spans[0].field, spans[0].n, spans[0].m)
+    while True:
+        with taken.get_lock():
+            i, taken.value = taken.value, taken.value + 1
+        if i >= len(spans):
+            break
+        try:
+            run = spans[i].run(kernel)
+        except Exception as e:
+            from multiprocessing.pool import ExceptionWithTraceback  # as Pool sends one
+
+            conn.send((i, ExceptionWithTraceback(e, e.__traceback__)))
+            break
+        conn.send((i, (run.size, run.nodes, run.stopped, run.witness)))
+    conn.send((None, None))
+
+
+def _run_in_order(spans, procs, cap) -> list[_Run]:
+    """The spans run, in order, up to the first that reaches the cap.  This
+    process runs span 0, the heaviest, and procs - 1 helper processes take
+    the others; with none it runs them all.  A helper's exception is raised
+    here, a helper that exits unreported makes the run raise, and every
+    helper is stopped and joined on return."""
+    ctx, helpers = multiprocessing.get_context(), {}  # result pipe -> process
+    if procs > 1:  # imported here: at module level it adds about 5 ms to every start-up
+        from multiprocessing.connection import wait
+
+        taken = ctx.Value("i", 1)
+    try:
+        for _ in range(procs - 1):
+            conn, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_helper, args=(spans, taken, send), daemon=True)
+            proc.start()
+            helpers[conn] = proc
+            send.close()  # the helper holds the only write end, so its exit reads as EOF
+        kernel = _kernel(spans[0].field, spans[0].n, spans[0].m)
+        runs, reported, live = [spans[0].run(kernel)], {}, list(helpers)
+        while len(runs) < len(spans) and (cap is None or runs[-1].size < cap):
+            if not helpers:  # one process: it runs every span, in order
+                runs.append(spans[len(runs)].run(kernel))
+                continue
+            while len(runs) not in reported:
+                for conn in wait(live):
+                    try:
+                        i, record = conn.recv()
+                    except (EOFError, OSError):
+                        raise RuntimeError("a search helper process exited without reporting") from None
+                    if i is None:
+                        live.remove(conn)
+                    else:
+                        reported[i] = record
+            record = reported.pop(len(runs))
+            if isinstance(record, BaseException):
+                raise record
+            run = spans[len(runs)]
+            run.size, run.nodes, run.stopped, run.witness = record
+            runs.append(run)
+        return runs
+    finally:
+        for conn, proc in helpers.items():
+            proc.terminate()
+            proc.join()
+            conn.close()
+
+
 def search_exact(
     n: int,
     q,
@@ -561,13 +632,8 @@ def search_exact(
     starts = range(1, total, chunk)
     spans = [_Run(field, n, m, lo, min(lo + chunk, total), max_nodes // len(starts), deadline, cap)
              for lo in starts]
-    # the spans depend on workers alone; a pool starts all its processes at once
-    with Pool(min(workers, os.cpu_count() or 1)) if workers > 1 else nullcontext() as pool:
-        runs = []
-        for run in (pool.imap if pool else map)(_Run.run, spans):  # in span order
-            runs.append(run)
-            if cap is not None and run.size >= cap:
-                break  # leaving the pool terminates the spans still running
+    # the spans depend on workers alone
+    runs = _run_in_order(spans, min(workers, os.cpu_count() or 1, len(spans)), cap)
     best = max(runs, key=lambda r: r.size)  # the first span of the best size
 
     exact = not any(r.stopped for r in runs) or (cap is not None and best.size >= cap)

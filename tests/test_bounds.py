@@ -94,6 +94,11 @@ def test_search_cap_is_the_least_cap_that_applies():
     assert search_cap(5, 2, 7) == (6, "counting")
     assert search_cap(2, 2, 4) == (3, "counting")  # ties the dimension cap
     assert search_cap(2, 4, 4) == (3, "dimension")  # counting cap 4
+    # over F_2 a relation on n + 2 points, n odd, leaves one out: r_{n+1}(n,2) = n + 1
+    assert search_cap(7, 2, 8) == (8, "dimension")  # counting cap 9
+    assert search_cap(9, 2, 10) == (10, "dimension")
+    assert search_cap(3, 2, 4) == (4, "counting")  # ties the dimension cap
+    assert search_cap(5, 2, 6) == (6, "counting")  # ties the dimension cap
     assert [search_cap(2, q, 3) for q in (2, 3, 8, 9, 11, 16)] == [
         (4, "arc"), (4, "arc"), (10, "arc"), (10, "arc"), (12, "arc"), (18, "arc")]
 
@@ -102,6 +107,7 @@ def test_within_cap_agrees_with_search_cap():
     # cells with a closed-form cap; the test above covers the counting cap alone
     cells = [(q, 2, 3) for q in (2, 3, 4, 5, 7, 8, 9, 11, 16, 65536)]
     cells += [(q, n, n + 2) for q in (2, 3, 9) for n in (1, 2, 3, 5, 8)]
+    cells += [(2, n, n + 1) for n in (7, 9, 11)]
     for q, n, m in cells:
         cap, _ = search_cap(n, q, m)
         for v in range(max(cap - 2, 0), cap + 3):

@@ -155,7 +155,9 @@ def test_arc_cap_with_workers():
     # the first span holds the lex-least 12-arc and reaches the arc cap in
     # the nodes one worker takes; the run ends there and stops the others
     seq = search_exact(2, 11, 3)
+    start = time.monotonic()
     par = search_exact(2, 11, 3, workers=2)
+    assert time.monotonic() - start < 5  # the helpers' spans take 15 s to exhaust
     assert multiprocessing.active_children() == []
     assert (par.value, par.witness, par.exact) == (seq.value, seq.witness, seq.exact)
     assert (seq.value, seq.exact) == (12, True)
@@ -183,30 +185,128 @@ def test_reductions_name_the_cap_in_force(n, q, m, reduction):
     assert got == ([] if reduction is None else [reduction])
 
 
-def test_pool_size_capped_at_cpu_count(monkeypatch):
-    # a pool starts all its processes at once, so record the size asked for
-    # and map in process instead of starting one
-    sizes = []
+@pytest.mark.parametrize("n, nodes", [(7, 6), (9, 8)])
+def test_f2_dimension_cap_at_m_n_plus_1(n, nodes):
+    # r_{n+1}(n,2) = n + 1 for odd n: the search stops at the frame, where
+    # under the counting cap alone (9 at n = 7) it spent 100M nodes unproven
+    cert = search_exact(n, 2, n + 1, max_nodes=1000)
+    assert (cert.value, cert.exact, cert.nodes_explored) == (n + 1, True, nodes)
+    assert "dimension-cap" in cert.reductions
+    assert verify_certificate(cert)
+
+
+@pytest.mark.parametrize("workers, cpus, helpers", [(1, 64, 0), (2, 1, 0), (2, 64, 1), (100_000, 64, 2)])
+def test_helpers_started_and_joined(monkeypatch, workers, cpus, helpers):
+    # min(workers, CPUs, spans) - 1 helpers: AG(2,2) has 3 spans for workers > 1.
+    # Each is joined (reaped) before search_exact returns.
+    started, real = [], multiprocessing.get_context()
 
     class Recorder:
-        def __init__(self, processes):
-            sizes.append(processes)
+        def __getattr__(self, name):
+            return getattr(real, name)
 
-        def __enter__(self):
-            return self
+        def Process(self, **kwargs):
+            started.append(real.Process(**kwargs))
+            return started[-1]
 
-        def __exit__(self, *exc):
-            return False
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(multiprocessing, "get_context", Recorder)
+    cert = search_exact(2, 2, 3, workers=workers)
+    assert len(started) == helpers
+    for proc in started:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(proc.pid, os.WNOHANG)
+    seq = search_exact(2, 2, 3)
+    assert (cert.value, cert.witness, cert.exact) == (seq.value, seq.witness, seq.exact)
 
-        def imap(self, fn, iterable):
-            return map(fn, iterable)
 
-    monkeypatch.setattr(search, "Pool", Recorder)
-    cert = search_exact(4, 2, 4, workers=100_000)
-    assert sizes == [min(100_000, os.cpu_count() or 1)]
-    seq = search_exact(4, 2, 4)
-    assert cert.value == seq.value and cert.exact
-    assert cert.witness == seq.witness
+def test_one_cpu_runs_every_span_in_process(monkeypatch):
+    # with no helper the search process runs all 7 spans of q3n3m4w2 in order
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+    cert = search_exact(3, 3, 4, workers=2)
+    assert multiprocessing.active_children() == []
+    assert (cert.value, cert.exact, cert.nodes_explored) == (5, True, 2734)
+
+
+def test_spans_finishing_out_of_order_are_collected_in_order(monkeypatch):
+    # AG(2,8), 4 workers, 10 nodes a span: span 0 stops at 9 points and span 1
+    # (second points 5-8) reaches the arc cap 10.  Span 1 sleeps, so the other
+    # helpers report later spans first; the certificate is the one a single
+    # process gets running the spans in order, ended at span 1.
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+    expected = search_exact(2, 8, 3, max_nodes=160, workers=4)
+    real = search._Run.run
+
+    def run(self, kernel):
+        time.sleep(0.5 if self.lo == 5 else 0)
+        return real(self, kernel)
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(search._Run, "run", run)
+    assert search_exact(2, 8, 3, max_nodes=160, workers=4) == expected
+    assert (expected.value, expected.exact) == (10, True)
+
+
+def test_every_span_runs_once_with_more_helpers_than_cpus(monkeypatch, tmp_path):
+    # 7 helpers take the 26 spans of q3n3m4 at 8 workers from one counter:
+    # each span runs once, and the certificate is the one of the spans run in order
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+    expected = search_exact(3, 3, 4, workers=8)
+    log, real = tmp_path / "spans", search._Run.run
+
+    def run(self, kernel):
+        with open(log, "a") as fh:
+            fh.write(f"{self.lo}\n")
+        return real(self, kernel)
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(search._Run, "run", run)
+    assert search_exact(3, 3, 4, workers=8) == expected
+    assert sorted(map(int, log.read_text().split())) == list(range(1, 27))
+    assert multiprocessing.active_children() == []
+
+
+def _failing_second_span(monkeypatch, fail):
+    """Two processes, and every span but the first calls fail."""
+    real = search._Run.run
+
+    def run(self, kernel):
+        if self.lo > 1:
+            fail(self)
+        return real(self, kernel)
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search._Run, "run", run)
+
+
+def test_helper_exception_reaches_the_caller(monkeypatch):
+    def fail(run):
+        raise ZeroDivisionError(f"span at {run.lo}")
+
+    _failing_second_span(monkeypatch, fail)
+    with pytest.raises(ZeroDivisionError, match="span at") as info:
+        search_exact(5, 2, 4, workers=2)
+    assert "in fail" in str(info.value.__cause__)  # the helper's traceback
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_helper_makes_the_run_raise(monkeypatch):
+    _failing_second_span(monkeypatch, lambda run: os._exit(0))
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="exited without reporting"):
+        search_exact(5, 2, 4, workers=2)
+    assert time.monotonic() - start < 5
+    assert multiprocessing.active_children() == []
+
+
+def test_helpers_under_spawn(monkeypatch):
+    # every argument a helper gets pickles: spawn sends them, fork does not
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: spawn)
+    cert = search_exact(3, 3, 4, workers=2)
+    assert (cert.value, cert.exact, cert.nodes_explored) == (5, True, 2734)
+    assert multiprocessing.active_children() == []
 
 
 def test_monotonicity_of_exact_values(f2, f3):
