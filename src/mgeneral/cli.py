@@ -79,7 +79,6 @@ def cmd_verify(args) -> int:
 
 def cmd_construct(args) -> int:
     A = lower_bound_4general(args.n)
-    field = A.field
     d = args.n // 2
     comments = [
         f"construction: apn-cube-sidon-graph d={d}",

@@ -90,6 +90,10 @@ past the deadline on the system-wide monotonic clock, read at every node.
 Both budgets (>= 0) cover the whole run: spans are collected in order until
 one reaches the cap.
 
+Greedy restart r scans the point codes in the Fisher-Yates order that
+`random.Random(f"{seed}:{r}").shuffle` draws from its `getrandbits`, and
+keeps each code left free.
+
 Certificates are JSON files carrying the witness and enough provenance to
 re-verify from scratch; `verify_certificate` re-runs both the geometric and
 arithmetic oracles on the witness and re-checks the value against every
@@ -99,7 +103,6 @@ cap of `bounds.within_cap`.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import random
 import time
@@ -559,10 +562,12 @@ def _run_in_order(spans, procs, cap) -> list[_Run]:
     the others; with none it runs them all.  A helper's exception is raised
     here, a helper that exits unreported makes the run raise, and every
     helper is stopped and joined on return."""
-    ctx, helpers = multiprocessing.get_context(), {}  # result pipe -> process
-    if procs > 1:  # imported here: at module level it adds about 5 ms to every start-up
+    helpers = {}  # result pipe -> process
+    if procs > 1:  # imported here: at module level it is about 30% of `import mgeneral`
+        import multiprocessing
         from multiprocessing.connection import wait
 
+        ctx = multiprocessing.get_context()
         taken = ctx.Value("i", 1)
     try:
         for _ in range(procs - 1):

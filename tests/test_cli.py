@@ -549,3 +549,29 @@ def test_oversized_inputs_refused_at_once(tmp_path, setfile, argv):
                           text=True, timeout=10, env=env, preexec_fn=_limit_memory)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:")
+
+
+def test_commands_leave_multiprocessing_unimported(tmp_path):
+    """import mgeneral and every command but a search with --workers >= 2
+    leave multiprocessing unimported; -S keeps site .pth imports out."""
+    src = os.path.dirname(os.path.dirname(mgeneral.__file__))
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import mgeneral\n"
+        "from mgeneral import cli\n"
+        "codes = [cli.main(argv.split()) for argv in [\n"
+        "    'construct --n 6 -o set.txt', 'verify set.txt', 'bounds --q 3 --m 4 --n 8',\n"
+        "    'table --which 2', 'search --n 3 --q 3 --m 4 --workers 1 -o c.json', 'check c.json',\n"
+        "    'search --n 3 --q 3 --m 3 --greedy --restarts 2 -o g.json', 'check g.json']]\n"
+        "print(codes, 'multiprocessing' in sys.modules)\n"
+        "cli.main('search --n 3 --q 3 --m 4 --workers 2 -o c.json'.split())\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    *_, found, control = proc.stdout.splitlines()  # after the commands' own output
+    assert found == f"{[0] * 8} False"
+    # the control: two workers start a helper, and import multiprocessing to do it
+    assert control == str((os.cpu_count() or 1) > 1)
