@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import os
-from importlib import resources
 
 __all__ = ["Field", "make_field", "load_modulus_table", "default_modulus"]
 
@@ -99,7 +98,8 @@ def _modulus_table(path: str) -> dict[tuple[int, int], tuple[int, ...]]:
     Each path is read once per process, so a table file edited in place
     after its first use is not re-read; a new path is.
     """
-    text = resources.files("mgeneral.data").joinpath("moduli.txt").read_text()
+    # through the package's loader, which reads a zipped package too
+    text = __spec__.loader.get_data(os.path.join(os.path.dirname(__file__), "data", "moduli.txt")).decode()
     table = _parse_table_lines(text.splitlines())
     if path:
         table.update(load_modulus_table(path))

@@ -33,7 +33,11 @@ docstring) and m otherwise.  q, and for q > 2 the ambient, picks the kernel:
   the s = 1 slice of C(W_{m-2}) is blocked and each W_j gains C(W_{j-1}).
   C(W) is d ceil(log2 p) doublings W |= W + 2^k p^i y, and each translate
   is one rotation of a base-p digit per nonzero digit of the vector (two
-  ANDs, two shifts, one OR with precomputed masks).  W_0 = {0}, W_1, ...,
+  ANDs, two shifts, one OR with precomputed masks).  The first extend by a
+  code gathers the rotations of each doubling for its y into the code's
+  plan, and every later one by that code reuses it, so no extend decodes a
+  code twice and a kernel holds at most q^n plans, a few hundred bytes each
+  (18 MB for all of AG(10,3)).  W_0 = {0}, W_1, ...,
   W_{m-2} are packed per = max(1, min(m-1, PACK_BITS // q^(n+1))) blocks
   to an int, and one closure pass covers every block of an int, so a node
   costs at most ceil((m-1)/per) d^2 (n+1) ceil(log2 p) rotations of
@@ -102,7 +106,6 @@ cap of `bounds.within_cap`.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
@@ -385,10 +388,13 @@ class _Lifted:
     carry crosses a block.  There is one step per lambda = (2^j mod p) p^k,
     whose translates double a mask up to its closure under the line
     F_q (1, x); `steps[r][i][e]` holds the rotations that add lambda * e in
-    coordinate i (0 being s), one per nonzero digit.
+    coordinate i (0 being s), one per nonzero digit.  `plans[code]` holds,
+    per step r, the rotations of `steps[r]` for the coordinates of (1, x),
+    flattened in order: built on the first extend by that code, so a kernel
+    holds at most q^n plans.
     """
 
-    __slots__ = ("full", "empty", "steps", "n", "q", "block", "lows", "carry", "slice")
+    __slots__ = ("full", "empty", "steps", "plans", "n", "q", "block", "lows", "carry", "slice")
 
     def __init__(self, field: Field, n: int, m: int):
         p, d, q = field.p, field.d, field.q
@@ -420,22 +426,27 @@ class _Lifted:
         doublings = (p - 1).bit_length()  # 2^doublings >= p
         self.steps = [[[rots[i][field.mul(lam, e)] for e in range(q)] for i in range(n + 1)]
                       for lam in (pow(2, j, p) * p**k for k in range(d) for j in range(doublings))]
+        self.plans = {}
 
     def extend(self, state, code: int):
         """The point x with this code joins A, y = (1, x): with C(W) = W + F_q y
         closing every block at once, block the s = 1 slice of C(W_{m-2}), and
         W_j |= C(W_{j-1}) with the old W_{j-1}, one block up."""
         blocked, *packed = state
-        coords = (1, *_decode(self.q, self.n, code))
-        steps, block, carry = self.steps, self.block, self.carry
+        try:
+            plan = self.plans[code]
+        except KeyError:
+            coords = (1, *_decode(self.q, self.n, code))
+            plan = self.plans[code] = tuple(
+                tuple(rot for rots, e in zip(step, coords) for rot in rots[e]) for step in self.steps)
+        block, carry = self.block, self.carry
         grown, up = [], 0
         for w, low in zip(packed, self.lows):
             old = w
-            for step in steps:
+            for rots in plan:
                 t = w
-                for rots, e in zip(step, coords):
-                    for lo, shift, down, hi in rots[e]:
-                        t = (t & lo) << shift | (t >> down) & hi
+                for lo, shift, down, hi in rots:
+                    t = (t & lo) << shift | (t >> down) & hi
                 w |= t
             grown.append(old | up | (w & low) << block)
             up = w >> carry if carry else w  # a shift by 0 would copy w
@@ -685,6 +696,8 @@ def search_greedy(n: int, q, m: int, seed: int = 0, restarts: int = 1) -> Search
 
 
 def certificate_to_json(cert: SearchCertificate) -> str:
+    import json  # imported here: at module level it is about 2 ms of `import mgeneral`
+
     doc = {"format": 1, "params": {}}
     for key, _, _ in _KEYS:
         (doc["params"] if key in _PARAMS else doc)[key] = getattr(cert, key)
@@ -698,6 +711,8 @@ def write_certificate(path, cert: SearchCertificate) -> None:
 
 
 def read_certificate(path) -> SearchCertificate:
+    import json  # as in certificate_to_json
+
     with _path_or_stream(path) as fh:
         text = fh.read()
     try:

@@ -575,3 +575,26 @@ def test_commands_leave_multiprocessing_unimported(tmp_path):
     assert found == f"{[0] * 8} False"
     # the control: two workers start a helper, and import multiprocessing to do it
     assert control == str((os.cpu_count() or 1) > 1)
+
+
+def test_import_leaves_json_and_resources_unimported(tmp_path):
+    """import mgeneral and building a field from the shipped modulus table
+    load neither json nor importlib.resources; json comes with the first
+    certificate written.  -S keeps site .pth imports out."""
+    src = os.path.dirname(os.path.dirname(mgeneral.__file__))
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import mgeneral\n"
+        "mgeneral.make_field(3, 2)\n"
+        "print(sorted({'json', 'importlib.resources'} & set(sys.modules)))\n"
+        "from mgeneral import cli\n"
+        "cli.main('search --n 2 --q 3 --m 3 -o c.json'.split())\n"
+        "print('json' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    *_, found, control = proc.stdout.splitlines()
+    assert found == "[]"
+    assert control == "True"  # the control: a certificate imports json

@@ -117,10 +117,12 @@ def test_max_seconds_must_be_nonnegative(max_seconds):
     (3, 3, 4, {"workers": 2}, (5, True, 2734)),
     (2, 5, 3, {}, (6, True, 4)),  # stops at the arc cap q + 1
     (2, 9, 4, {}, (3, True, 1)),  # stops at the dimension cap n + 1
+    (3, 4, 4, {}, (5, True, 153554)),  # lifted, d = 2: two rotations per coordinate
+    (2, 9, 3, {}, (10, True, 23)),  # stops at the arc cap q + 1; lifted, d = 2
     (4, 3, 3, {"max_nodes": 60}, (18, False, 61)),
     (6, 2, 4, {"max_nodes": 200_000}, (9, False, 200_001)),
-], ids=["q2n4m4", "q2n5m4", "q2n5m4w2", "q3n3m4", "q3n3m4w2", "q5n2m3", "q9n2m4", "q3n4m3lim",
-        "q2n6m4lim"])
+], ids=["q2n4m4", "q2n5m4", "q2n5m4w2", "q3n3m4", "q3n3m4w2", "q5n2m3", "q9n2m4", "q4n3m4", "q9n2m3",
+        "q3n4m3lim", "q2n6m4lim"])
 def test_exact_search_node_counts(n, q, m, kwargs, expected):
     # the stop rule fixes these: the node that reaches the cap is not counted,
     # and a span stops on the node past its budget
@@ -464,6 +466,37 @@ def _check_kernel_layout(field, kernel, ns, per, monkeypatch):
                 want = {A.encode(y) for y in everything if y not in A and add_point_preserves(A, y, m)}
                 assert {c for c in range(q**n) if allowed >> c & 1} == want, (n, m, pts)
             assert len(pts) >= min(limit, m - 1), (n, m)
+
+
+@pytest.mark.parametrize("p,d", _GRID, ids=[f"{p}-{d}" for p, d in _GRID])
+def test_lifted_plans_are_reused_unchanged(p, d, monkeypatch):
+    """`_Lifted` builds a code's plan on its first extend by that code and
+    reuses it on every later one.  A kernel that has extended every code
+    once from empty, so holds every plan, extends like a fresh kernel, which
+    builds each plan on the spot, by every free code along a seeded
+    m-general path, for m in 3..n+2, with one block to an int and with all
+    m-1."""
+    field = make_field(p, d)
+    q = field.q
+    rng = random.Random(f"plans:{q}")
+    for per in [lambda m: 1, lambda m: m - 1]:
+        for n in (2, 3):
+            for m in range(3, n + 3):
+                monkeypatch.setattr(search, "PACK_BITS", per(m) * q ** (n + 1))
+                warm = _Lifted(field, n, m)
+                for code in range(q**n):
+                    warm.extend(warm.empty, code)
+                assert len(warm.plans) == q**n
+                state = warm.empty
+                for _ in range(m):  # the empty set, then up to m - 1 points
+                    free = [c for c in range(q**n) if not state[0] >> c & 1]
+                    if not free:
+                        break
+                    fresh = _Lifted(field, n, m)
+                    assert not fresh.plans  # no plan is shared between kernels
+                    for c in free:
+                        assert warm.extend(state, c) == fresh.extend(state, c), (n, m, c)
+                    state = warm.extend(state, rng.choice(free))
 
 
 def _leaf_recount(kernel, state, allowed):
