@@ -14,12 +14,12 @@ and the arithmetic oracle test the requested one.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import repeat
 from operator import index
-from typing import Iterable, Sequence
 
+from ._record import record
 from .field import Field, field_from_q_spec
 
 __all__ = [
@@ -51,7 +51,7 @@ def _point(field: Field, n: int, p: Sequence[int]) -> Point:
     return p
 
 
-@dataclass(frozen=True)
+@record
 class PointSet:
     """A duplicate-free set of points of F_q^n in canonical (lex) order."""
 

@@ -30,11 +30,11 @@ by high bits; the rank-based cross-check for that case is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, combinations, permutations, product, repeat
 from operator import add, xor
-from typing import Callable, Iterable, Iterator, Sequence
 
+from ._record import record
 from .affine import PointSet, _check_m_range, _point
 from .field import Field
 
@@ -55,7 +55,7 @@ KIND_SUM_ZERO = "sum_zero"
 KIND_NONZERO_SUM = "nonzero_sum"
 
 
-@dataclass(frozen=True)
+@record
 class CoeffVector:
     """A validated coefficient vector over F_q.
 

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
+from ._record import record
 from .arithmetic import count_nonzero_sum_vectors
 
 __all__ = [
@@ -292,7 +292,7 @@ def bennett_lower_estimate(n: int, q: int, m: int) -> float:
 # -- reports -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     """Evaluated bounds at one (n, q, m); None marks inapplicable fields.
 

@@ -10,8 +10,8 @@ Charpin and Zinoviev, Des. Codes Cryptogr. 1998), so no APN check runs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
+from ._record import record
 from .affine import PointSet, is_m_general
 from .field import Field, make_field
 
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class FunctionTable:
     """A function GF(q) -> GF(q) as a lookup table: values[x] = f(x)."""
 
@@ -40,8 +40,11 @@ class FunctionTable:
             raise ValueError("table entry out of field range")
 
 
-@dataclass(frozen=True)
+@record
 class ApnReport:
+    """is_apn's answer, truthy when f is APN, and the largest count of
+    solutions x of f(x + a) - f(x) = b over a != 0 and b."""
+
     is_apn: bool
     max_solutions: int
 

@@ -551,9 +551,14 @@ def test_oversized_inputs_refused_at_once(tmp_path, setfile, argv):
     assert proc.stderr.startswith("error:")
 
 
+# dataclasses, with the inspect it imports, and typing: no command needs them
+_HEAVY = ("dataclasses", "inspect", "typing")
+
+
 def test_commands_leave_multiprocessing_unimported(tmp_path):
     """import mgeneral and every command but a search with --workers >= 2
-    leave multiprocessing unimported; -S keeps site .pth imports out."""
+    leave multiprocessing unimported, and every command leaves out _HEAVY;
+    -S keeps site .pth imports out."""
     src = os.path.dirname(os.path.dirname(mgeneral.__file__))
     script = (
         "import sys\n"
@@ -564,30 +569,30 @@ def test_commands_leave_multiprocessing_unimported(tmp_path):
         "    'construct --n 6 -o set.txt', 'verify set.txt', 'bounds --q 3 --m 4 --n 8',\n"
         "    'table --which 2', 'search --n 3 --q 3 --m 4 --workers 1 -o c.json', 'check c.json',\n"
         "    'search --n 3 --q 3 --m 3 --greedy --restarts 2 -o g.json', 'check g.json']]\n"
-        "print(codes, 'multiprocessing' in sys.modules)\n"
+        f"print(codes, 'multiprocessing' in sys.modules, sorted(set({_HEAVY!r}) & set(sys.modules)))\n"
         "cli.main('search --n 3 --q 3 --m 4 --workers 2 -o c.json'.split())\n"
-        "print('multiprocessing' in sys.modules)\n"
+        f"print('multiprocessing' in sys.modules, sorted(set({_HEAVY!r}) & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", script], cwd=tmp_path,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     *_, found, control = proc.stdout.splitlines()  # after the commands' own output
-    assert found == f"{[0] * 8} False"
+    assert found == f"{[0] * 8} False []"
     # the control: two workers start a helper, and import multiprocessing to do it
-    assert control == str((os.cpu_count() or 1) > 1)
+    assert control == f"{(os.cpu_count() or 1) > 1} []"
 
 
 def test_import_leaves_json_and_resources_unimported(tmp_path):
     """import mgeneral and building a field from the shipped modulus table
-    load neither json nor importlib.resources; json comes with the first
-    certificate written.  -S keeps site .pth imports out."""
+    load neither json nor importlib.resources, nor any of _HEAVY; json comes
+    with the first certificate written.  -S keeps site .pth imports out."""
     src = os.path.dirname(os.path.dirname(mgeneral.__file__))
     script = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "import mgeneral\n"
         "mgeneral.make_field(3, 2)\n"
-        "print(sorted({'json', 'importlib.resources'} & set(sys.modules)))\n"
+        f"print(sorted({{'json', 'importlib.resources', *{_HEAVY!r}}} & set(sys.modules)))\n"
         "from mgeneral import cli\n"
         "cli.main('search --n 2 --q 3 --m 3 -o c.json'.split())\n"
         "print('json' in sys.modules)\n"
