@@ -6,7 +6,12 @@ acts transitively and preserves m-generality) and grows sets only by points
 greater than the last chosen, so every candidate set is enumerated once and
 the first witness found at any size is the lexicographically least one.
 
-One search loop and one randomized greedy run for every (q, m).  Each
+Theorem cells (`_settled_size`: q = 2 with m = 3, and n = 1) need no
+search: the exact search returns the r lowest codes, exact after 0 nodes
+with the one reduction `f2-even-support` (`dimension-cap` at n = 1), and
+the greedy keeps the first r codes of each restart's shuffle.
+
+One search loop and one randomized greedy run for every other cell.  Each
 keeps, per depth, the points that can no longer join A as one big-integer
 bitmask over all q^n point codes, updated by a blocked-set kernel when a
 point joins; the search tries the allowed points above the last chosen
@@ -16,15 +21,15 @@ test runs in the search loop.  The kernel is built for the tested m of
 `affine._tested_m`, 2 floor(m/2) over F_2 (the F_2 rule of the `affine`
 docstring) and m otherwise.  q, and for q > 2 the ambient, picks the kernel:
 
-* Subset sums (`_SubsetSums`, q = 2, k = floor(m/2)): a relation over F_2
-  is an even subset summing to 0, so A + {x} stays 2k-general exactly when
+* Subset sums (`_SubsetSums`, q = 2, k = floor(m/2) >= 2): a relation over
+  F_2 is an even subset summing to 0, so A + {x} stays 2k-general exactly when
   x is no sum of an odd subset of A of size <= 2k - 1.  The state packs, for
   i < k, the sums O_i of odd subsets of size <= 2i - 1 and E_i of even ones
   of size <= 2i (0 among them) into one int.  x joining blocks {x} and
   x xor E_{k-1}, O_i gains x xor E_{i-1} and E_i gains x xor O_i: one XOR
   translate of all blocks, a bit-block swap per set bit of x, shifted up a
   block.  k = 2 is the Sidon (pair-sum) update; `_Lifted` ran it 3.6x slower.
-* Lifted masks (`_Lifted`, q > 2, n >= 2 and q^(n+1) < AMBIENT_LIMIT): A is
+* Lifted masks (`_Lifted`, q > 2 and q^(n+1) < AMBIENT_LIMIT): A is
   m-general iff the lifted vectors (1, t), t in A, have no nontrivial
   relation on <= m of them, so A + {p} is m-general exactly when (1, p) is
   no F_q-combination of <= m-1 of them.  The state keeps, for j <= m-2, the
@@ -45,8 +50,8 @@ docstring) and m otherwise.  q, and for q > 2 the ambient, picks the kernel:
   cost more than the Python steps they save, so large ambients keep
   per = 1 and the (n+1) d (p-1) digit masks on q^(n+1) bits: 39 MB at
   q = 101, n = 2.
-* Blocked flats (`_Flats`, q > 2 and n = 1, or q^(n+1) >= AMBIENT_LIMIT,
-  where the lifted masks cost more than they save):
+* Blocked flats (`_Flats`, q > 2 and q^(n+1) >= AMBIENT_LIMIT, the large
+  ambients, where the lifted masks cost more than they save):
   A + {p} is m-general exactly when p lies in no affine hull of
   min(m-1, |A|) points of A.  When x joins A, the update ORs in the hulls
   of {x} + T over the subsets T of A with |T| <= m-2, enumerated as
@@ -324,10 +329,8 @@ def _digit_mask(p: int, k: int, t: int, size: int) -> int:
 class _Flats:
     """Blocked-flat kernel (see the module docstring) for one (field, n, m).
 
-    The state is (blocked, points of A as coordinate tuples).  Field
-    addition and scaling are q x q lookup lists for n >= 2 (q^2 <= q^n <=
-    AMBIENT_LIMIT there); at n = 1, where a search stops at two points,
-    they call the Field methods instead.
+    The state is (blocked, points of A as coordinate tuples); field addition
+    and scaling are q x q lookup lists (q^2 <= q^n <= AMBIENT_LIMIT).
     """
 
     __slots__ = ("q", "n", "m", "full", "empty", "weights", "vadd", "vscale", "minus_one")
@@ -339,15 +342,11 @@ class _Flats:
         self.empty = (0, ())
         self.weights = [q ** (n - 1 - j) for j in range(n)]
         self.minus_one = field.neg(1)
-        if n >= 2:
-            elems = range(q)
-            add_rows = [[field.add(a, b) for b in elems] for a in elems].__getitem__
-            mul_rows = [[field.mul(c, a) for a in elems] for c in elems]
-            self.vadd = lambda u, v: tuple(map(getitem, map(add_rows, u), v))
-            self.vscale = lambda c, u: tuple(map(mul_rows[c].__getitem__, u))
-        else:
-            self.vadd = lambda u, v: tuple(map(field.add, u, v))
-            self.vscale = lambda c, u: tuple(field.mul(c, a) for a in u)
+        elems = range(q)
+        add_rows = [[field.add(a, b) for b in elems] for a in elems].__getitem__
+        mul_rows = [[field.mul(c, a) for a in elems] for c in elems]
+        self.vadd = lambda u, v: tuple(map(getitem, map(add_rows, u), v))
+        self.vscale = lambda c, u: tuple(map(mul_rows[c].__getitem__, u))
 
     def extend(self, state, code: int):
         """The point x with this code joins A: block every
@@ -458,7 +457,7 @@ class _Lifted:
 
 
 class _SubsetSums:
-    """Subset-sum kernel for q = 2, k = floor(m/2) (see the module docstring).
+    """Subset-sum kernel for q = 2, k = floor(m/2) >= 2 (see the module docstring).
 
     The state is (blocked, P), P holding O_1, E_1, ..., O_{k-1}, E_{k-1} in
     blocks of 2^n bits from the lowest.  Each swap (v, mask) pairs a power of
@@ -471,7 +470,7 @@ class _SubsetSums:
     def __init__(self, field: Field, n: int, m: int):
         size, blocks = 1 << n, 2 * (m // 2) - 2
         self.full, self.packed = (1 << size) - 1, (1 << blocks * size) - 1
-        self.block, self.top = size, max(blocks - 1, 0) * size  # top: E_{k-1}
+        self.block, self.top = size, (blocks - 1) * size  # top: E_{k-1}
         self.empty = (0, sum(1 << i * size for i in range(1, blocks, 2)))  # each E_i = {0}
         self.swaps = [(1 << j, _digit_mask(2, j, 1, blocks * size)) for j in range(n)]
 
@@ -492,7 +491,7 @@ class _SubsetSums:
         and x xor E_{k-1}, so y stays free exactly when bit x xor y of
         E_{k-1} is clear: one bit test per pair while the codes above x are
         no more than the swaps of a translate of E_{k-1} by x, the translate
-        otherwise.  At k = 1 there is no block and x blocks x alone."""
+        otherwise."""
         sums, swaps = state[1] >> self.top, self.swaps
         count = 0
         while True:
@@ -518,14 +517,23 @@ class _SubsetSums:
             count += 1
 
 
+def _settled_size(q: int, n: int, m: int) -> int | None:
+    """r where the r lowest codes form a maximum m-general set, else None:
+    2^n for q = 2 and m = 3 (the tested m is 2: any distinct points qualify),
+    2 for n = 1 (only m = 3 = n + 2 is in range: the dimension cap)."""
+    if q == 2 and m == 3:
+        return 1 << n
+    return 2 if n == 1 else None
+
+
 def _kernel(field: Field, n: int, m: int):
-    """The blocked-set kernel for (q, n) and the tested m: subset sums for
-    q = 2; for q > 2, lifted masks for n >= 2 and q^(n+1) < AMBIENT_LIMIT,
-    else flats."""
+    """The blocked-set kernel for (q, n) and the tested m, outside the cells
+    of `_settled_size`: subset sums for q = 2; for q > 2, lifted masks for
+    q^(n+1) < AMBIENT_LIMIT, else flats."""
     m = _tested_m(field, m)
     if field.q == 2:
         return _SubsetSums(field, n, m)
-    if n >= 2 and field.q ** (n + 1) < AMBIENT_LIMIT:
+    if field.q ** (n + 1) < AMBIENT_LIMIT:
         return _Lifted(field, n, m)
     return _Flats(field, n, m)
 
@@ -645,6 +653,11 @@ def search_exact(
     if max_nodes < 0:
         raise ValueError(f"need max_nodes >= 0, got {max_nodes}")
     field, total, bound = _setup(n, q, m)
+    settled = _settled_size(field.q, n, m)
+    if settled is not None:
+        return _make_certificate(
+            field, n, m, range(settled), bound, exact=True, nodes_explored=0, seed=None, restarts=None,
+            reductions=(_CAP_REDUCTIONS["dimension"] if n == 1 else "f2-even-support",))
     cap, reason = search_cap(n, field.q, m)
 
     deadline = time.monotonic() + max_seconds
@@ -673,20 +686,23 @@ def search_greedy(n: int, q, m: int, seed: int = 0, restarts: int = 1) -> Search
     if restarts < 1:
         raise ValueError(f"need restarts >= 1, got {restarts}")
     field, total, bound = _setup(n, q, m)
-    kernel = _kernel(field, n, m)
+    settled = _settled_size(field.q, n, m)
+    kernel = _kernel(field, n, m) if settled is None else None
     best_wit = []
     for r in range(restarts):
         rng = random.Random(f"{seed}:{r}")
         order = list(range(total))
         rng.shuffle(order)
-        chosen = []
-        state, blocked = kernel.empty, bytes((total + 7) // 8)  # the mask, 8 codes a byte
-        for code in order:
-            if blocked[code >> 3] >> (code & 7) & 1:
-                continue
-            state = kernel.extend(state, code)
-            blocked = state[0].to_bytes(len(blocked), "little")
-            chosen.append(code)
+        if kernel is None:
+            chosen = order[:settled]
+        else:
+            chosen, state, blocked = [], kernel.empty, bytes((total + 7) // 8)  # the mask, 8 codes a byte
+            for code in order:
+                if blocked[code >> 3] >> (code & 7) & 1:
+                    continue
+                state = kernel.extend(state, code)
+                blocked = state[0].to_bytes(len(blocked), "little")
+                chosen.append(code)
         wit = sorted(chosen)
         if (-len(wit), wit) < (-len(best_wit), best_wit):  # larger, then lex-least
             best_wit = wit

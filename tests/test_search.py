@@ -198,8 +198,9 @@ def test_f2_dimension_cap_at_m_n_plus_1(n, nodes):
 
 @pytest.mark.parametrize("workers, cpus, helpers", [(1, 64, 0), (2, 1, 0), (2, 64, 1), (100_000, 64, 2)])
 def test_helpers_started_and_joined(monkeypatch, workers, cpus, helpers):
-    # min(workers, CPUs, spans) - 1 helpers: AG(2,2) has 3 spans for workers > 1.
-    # Each is joined (reaped) before search_exact returns.
+    # min(workers, CPUs, spans) - 1 helpers: AG(2,2) has 3 spans for workers > 1
+    # (m = 4: at m = 3 no search runs).  Each is joined (reaped) before
+    # search_exact returns.
     started, real = [], multiprocessing.get_context()
 
     class Recorder:
@@ -212,12 +213,12 @@ def test_helpers_started_and_joined(monkeypatch, workers, cpus, helpers):
 
     monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(multiprocessing, "get_context", Recorder)
-    cert = search_exact(2, 2, 3, workers=workers)
+    cert = search_exact(2, 2, 4, workers=workers)
     assert len(started) == helpers
     for proc in started:
         with pytest.raises(ChildProcessError):
             os.waitpid(proc.pid, os.WNOHANG)
-    seq = search_exact(2, 2, 3)
+    seq = search_exact(2, 2, 4)
     assert (cert.value, cert.witness, cert.exact) == (seq.value, seq.witness, seq.exact)
 
 
@@ -417,19 +418,23 @@ _GRID = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 _KERNEL_GRID = pytest.mark.parametrize(
     "p,d,kernel,ns",
     [(p, d, _Lifted, (2, 3)) for p, d in _GRID] + [(p, d, _Flats, (2, 3)) for p, d in _GRID]
-    + [(2, 11, _Flats, (1,)), (2, 1, _SubsetSums, (2, 3, 4, 5))],
-    ids=[f"{p}-{d}" for p, d in _GRID] + [f"flats-{p}-{d}" for p, d in _GRID]
-    + ["flats-2-11", "subsetsums-2-1"],
+    + [(2, 1, _SubsetSums, (2, 3, 4, 5))],
+    ids=[f"{p}-{d}" for p, d in _GRID] + [f"flats-{p}-{d}" for p, d in _GRID] + ["subsetsums-2-1"],
 )
+
+
+def _kernel_ms(kernel, n):
+    """The m in range for n that kernel serves: 3..n+2, from 4 for
+    `_SubsetSums`, whose tested m is 2 floor(m/2) >= 4."""
+    return range(4 if kernel is _SubsetSums else 3, n + 3)
 
 
 @_KERNEL_GRID
 def test_flat_kernel_matches_rank_test(p, d, kernel, ns, monkeypatch):
     """After each point of a seeded m-general set joins, the kernel's allowed
     points are exactly those the incremental rank test accepts, for every m
-    in 3..n+2.  Each kernel is built directly, whichever one `_kernel` would
-    pick.  GF(2048) at n = 1 runs `_Flats` on Field methods (q^2 >
-    AMBIENT_LIMIT); `_SubsetSums` at n = 4, 5 reaches m = 6, 7, k = 3.
+    of `_kernel_ms`.  Each kernel is built directly, whichever one `_kernel`
+    would pick.  `_SubsetSums` at n = 4, 5 reaches m = 6, 7, k = 3.
     `_Lifted` runs with 1, ceil((m-1)/2) and m-1 of its m-1 blocks to an
     int, PACK_BITS set to fit them: the top int full or not, and a carry
     between ints or none."""
@@ -443,7 +448,7 @@ def _check_kernel_layout(field, kernel, ns, per, monkeypatch):
     rng = random.Random(f"flats:{q}")
     for n in ns:
         everything = _all_points(q, n)
-        for m in range(3, n + 3):
+        for m in _kernel_ms(kernel, n):
             if per is not None:
                 monkeypatch.setattr(search, "PACK_BITS", per(m) * q ** (n + 1))
             blocks = kernel(field, n, m)
@@ -512,18 +517,19 @@ def _leaf_recount(kernel, state, allowed):
 
 @_KERNEL_GRID
 def test_leading_leaves_matches_extend_recount(p, d, kernel, ns, monkeypatch):
-    """At random states along random m-general sets, for m in 3..n+2, the
-    kernel's leading_leaves equals the recount from extend on sets of free
-    codes drawn at random: a few (pair tests in `_SubsetSums`), or up to 64
-    (a translate of E_{k-1}, wherever more codes lie above x than x has set
-    bits).  `_Lifted` runs with one block to an int and with all m-1."""
+    """At random states along random m-general sets, for every m of
+    `_kernel_ms`, the kernel's leading_leaves equals the recount from extend
+    on sets of free codes drawn at random: a few (pair tests in
+    `_SubsetSums`), or up to 64 (a translate of E_{k-1}, wherever more codes
+    lie above x than x has set bits).  `_Lifted` runs with one block to an
+    int and with all m-1."""
     field = make_field(p, d)
     q = field.q
     rng = random.Random(f"leaves:{q}:{kernel.__name__}")
     found = 0
     for per in [lambda m: 1, lambda m: m - 1] if kernel is _Lifted else [None]:
         for n in ns:
-            for m in range(3, n + 3):
+            for m in _kernel_ms(kernel, n):
                 if per is not None:
                     monkeypatch.setattr(search, "PACK_BITS", per(m) * q ** (n + 1))
                 blocks = kernel(field, n, m)
@@ -542,9 +548,10 @@ def test_leading_leaves_matches_extend_recount(p, d, kernel, ns, monkeypatch):
 
 
 def test_kernel_choice_at_the_ambient_limit(monkeypatch):
-    """Subset sums for q = 2 at every n and m, built for m = 2 floor(m/2);
-    for q > 2 lifted masks exactly for n >= 2 and q^(n+1) < AMBIENT_LIMIT =
-    2^20, flats otherwise, with no lifted mask built."""
+    """Outside the theorem cells (q = 2 with m = 3, and n = 1): subset sums
+    for q = 2 at every n and m, built for m = 2 floor(m/2); for q > 2 lifted
+    masks exactly for q^(n+1) < AMBIENT_LIMIT = 2^20, flats otherwise, with
+    no lifted mask built."""
     tracemalloc.start()
     flats = _kernel(field_for_order(4), 9, 3)  # 4^10 = 2^20 lifted codes: at the limit
     peak = tracemalloc.get_traced_memory()[1]
@@ -553,20 +560,20 @@ def test_kernel_choice_at_the_ambient_limit(monkeypatch):
     # _Lifted would hold 20 digit masks of 2^20 bits (2.5 MiB); the flats'
     # blocked masks have 2^18 bits
     assert peak < 2 * (1 << 20) // 8
-    for m in range(3, 8):
+    for m in range(4, 8):
         assert isinstance(_kernel(make_field(2), 5, m), _SubsetSums), m
 
     # stand-ins record each kernel asked for, so no masks are built
     built = []
     for name in ("_SubsetSums", "_Lifted", "_Flats"):
         monkeypatch.setattr(search, name, lambda field, n, m, name=name: built.append((name, field.q, n, m)))
-    cells = [(n, m) for n in range(1, 21) for m in range(3, n + 3)]
+    cells = [(n, m) for n in range(2, 21) for m in range(4, n + 3)]
     for n, m in cells:
         _kernel(make_field(2), n, m)
     assert built == [("_SubsetSums", 2, n, m - m % 2) for n, m in cells]
     built.clear()
     _kernel(make_field(101), 2, 3)  # 101^3 = 1,030,301: just below
-    flat_cells = [(4, 9), (32, 3), (3, 1), (9, 1), (101, 1)]  # at the limit, or n = 1
+    flat_cells = [(4, 9), (32, 3)]  # at the limit, and above it
     for q, n in flat_cells:
         _kernel(field_for_order(q), n, 3)
     assert built == [("_Lifted", 101, 2, 3)] + [("_Flats", q, n, 3) for q, n in flat_cells]
@@ -594,8 +601,8 @@ def test_lifted_keeps_one_block_per_int_on_large_ambients(q, n, m):
 
 @pytest.mark.parametrize("n,m,value,seconds", [(19, 6, 60, 10), (16, 3, 1 << 16, 5)])
 def test_f2_greedy_at_large_n(n, m, value, seconds):
-    """One greedy pass over AG(n,2) runs the subset-sum kernel: m = 3 blocks
-    only the joining point, so every point joins."""
+    """One greedy pass over AG(n,2): m = 6 runs the subset-sum kernel, and
+    m = 3 builds none, since every point joins."""
     start = time.perf_counter()
     cert = search_greedy(n, 2, m, seed=1)
     assert time.perf_counter() - start < seconds
@@ -606,18 +613,16 @@ def test_f2_greedy_at_large_n(n, m, value, seconds):
 def test_f2_search_depends_on_half_m(m):
     """Over F_2 an m-general set is exactly a 2 floor(m/2)-general one, so an
     odd m searches like m - 1: same value, witness and nodes.  m - 1 = 2 is
-    out of range; there every set of distinct points qualifies, and the
-    search runs to the whole space but for the dimension cap at n = 1 and
-    the arc cap at n = 2, which the whole space reaches."""
+    out of range; there every set of distinct points qualifies, and both
+    drivers answer with the whole space, the exact search in 0 nodes."""
     for n in range(m - 2, 7):
         limit = {"max_nodes": 20_000} if n == 6 else {}
         got = search_exact(n, 2, m, **limit)
         greedy = search_greedy(n, 2, m, seed=n, restarts=3)
         if m == 3:
             everything = tuple(_all_points(2, n))
-            nodes = {1: 0, 2: 2}.get(n, 2**n - 1)
             assert (got.value, got.exact, got.witness, got.nodes_explored) == (
-                2**n, True, everything, nodes)
+                2**n, True, everything, 0)
             assert (greedy.value, greedy.witness, greedy.nodes_explored) == (
                 2**n, everything, 3 * 2**n)
             continue
@@ -671,7 +676,7 @@ def test_exact_cap_in_ag33():
 @pytest.mark.parametrize(
     "p,d,n,m",
     [(3, 1, 3, 3), (5, 1, 2, 3), (3, 1, 3, 4), (2, 2, 3, 4), (3, 2, 2, 4), (2, 1, 4, 3), (2, 1, 4, 4),
-     (3, 1, 5, 3), (2, 1, 8, 5)],
+     (3, 1, 5, 3), (2, 1, 8, 5), (3, 1, 1, 3), (2, 11, 1, 3)],
 )
 def test_greedy_matches_reference(p, d, n, m):
     field = make_field(p, d)
@@ -679,3 +684,24 @@ def test_greedy_matches_reference(p, d, n, m):
         cert = search_greedy(n, field, m, seed=seed, restarts=restarts)
         want = greedy_reference(field, n, m, seed, restarts)
         assert (cert.value, cert.witness, cert.nodes_explored) == want
+
+
+def test_theorem_cells_build_no_kernel(monkeypatch):
+    """q = 2 with m = 3 (every set of distinct points) and n = 1 (two points,
+    the dimension cap) are answered by theorem: with `_kernel` made to raise,
+    the exact search returns the r lowest codes, exact in 0 nodes, and the
+    greedy r points, for n <= 12 and for q up to 2^16."""
+    def no_kernel(field, n, m):
+        raise AssertionError(f"kernel built for q={field.q}, n={n}, m={m}")
+
+    monkeypatch.setattr(search, "_kernel", no_kernel)
+    cells = [(n, 2, 3, 2**n, "f2-even-support") for n in range(2, 13)]
+    cells += [(1, q, 3, 2, "dimension-cap") for q in (2, 3, 4, 5, 7, 8, 9, 16, 101, 2048, 65536)]
+    for n, q, m, value, reduction in cells:
+        cert = search_exact(n, q, m, max_nodes=0)
+        assert (cert.value, cert.exact, cert.nodes_explored, cert.reductions) == (
+            value, True, 0, (reduction,)), (n, q)
+        assert cert.witness == tuple(_all_points(q, n)[:value])
+        greedy = search_greedy(n, q, m, seed=n, restarts=2)
+        assert (greedy.value, greedy.exact, greedy.nodes_explored) == (value, False, 2 * q**n), (n, q)
+    assert verify_certificate(search_exact(1, 65536, 3))
