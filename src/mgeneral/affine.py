@@ -20,7 +20,7 @@ from itertools import repeat
 from operator import index
 
 from ._record import record
-from .field import Field, field_from_q_spec
+from .field import Field, _digits, _from_digits, field_from_q_spec
 
 __all__ = [
     "PointSet",
@@ -39,16 +39,15 @@ FORMAT_LINE = "format=1"
 
 def _point(field: Field, n: int, p: Sequence[int]) -> Point:
     """p as a point of F_q^n: n canonical field elements, else ValueError."""
-    p = tuple(p)
     try:
-        p = tuple(map(index, p))
+        x = tuple(map(index, p))
     except TypeError:
-        raise ValueError(f"coordinate not an integer: {p}") from None
-    if len(p) != n:
-        raise ValueError(f"point has {len(p)} coords, ambient needs {n}")
-    if any(not 0 <= c < field.q for c in p):
-        raise ValueError(f"coordinate out of range for q={field.q}: {p}")
-    return p
+        raise ValueError(f"coordinate not an integer: {tuple(p)}") from None
+    if len(x) != n:
+        raise ValueError(f"point has {len(x)} coords, ambient needs {n}")
+    if x and (min(x) < 0 or max(x) >= field.q):
+        raise ValueError(f"coordinate out of range for q={field.q}: {x}")
+    return x
 
 
 @record
@@ -84,11 +83,15 @@ class PointSet:
 
     def encode(self, p: Sequence[int]) -> int:
         """Integer encoding with the first coordinate most significant, so
-        numeric order on codes equals lexicographic order on points."""
-        acc = 0
-        for c in p:
-            acc = acc * self.field.q + c
-        return acc
+        numeric order on codes equals lexicographic order on points; the
+        inverse is `_decode(q, n, code)`."""
+        return _from_digits(reversed(p), self.field.q)
+
+
+def _decode(q: int, n: int, code: int) -> Point:
+    """Inverse of PointSet.encode: the point of F_q^n whose base-q digits,
+    first coordinate most significant, are code."""
+    return tuple(reversed(_digits(code, q, n)))
 
 
 def _pivot_step(field: Field):

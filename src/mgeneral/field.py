@@ -7,12 +7,19 @@ and 1 always the additive and multiplicative identities.
 
 Multiplication and inversion go through log/antilog tables built once at
 construction time, so a Field instance is immutable and cheap to share.
+
+Radix conversions go through `_digits` and its inverse `_from_digits`,
+least significant digit first, and trial division through `_prime_factors`.
+A point of AG(n,q) is coded with its first coordinate most significant
+(`affine.PointSet.encode`, `affine._decode`), so code order is lex order;
+only `search._Flats.extend` encodes points itself, on its hot path.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+from operator import index
 
 __all__ = ["Field", "make_field", "load_modulus_table", "default_modulus"]
 
@@ -21,15 +28,36 @@ MAX_ORDER = 1 << 16
 MODULUS_TABLE_ENV = "MGENERAL_MODULI"
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
+def _digits(x: int, base: int, count: int) -> list[int]:
+    """The count lowest base-`base` digits of x, least significant first."""
+    digits = []
+    for _ in range(count):
+        digits.append(x % base)
+        x //= base
+    return digits
+
+
+def _from_digits(digits, base: int) -> int:
+    """Inverse of `_digits`: the int with these base-`base` digits."""
+    acc, weight = 0, 1
+    for c in digits:
+        acc += c * weight
+        weight *= base
+    return acc
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n (none below 2), ascending."""
+    factors, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            factors.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        factors.append(n)
+    return factors
 
 
 def _poly_rem(num, den, p: int) -> list[int]:
@@ -56,12 +84,7 @@ def is_irreducible(coeffs, p: int) -> bool:
         return False
     for e in range(1, d // 2 + 1):
         for v in range(p**e):
-            den, t = [], v
-            for _ in range(e):
-                den.append(t % p)
-                t //= p
-            den.append(1)
-            if not _poly_rem(coeffs, den, p):
+            if not _poly_rem(coeffs, _digits(v, p, e) + [1], p):
                 return False
     return True
 
@@ -113,7 +136,7 @@ def _check_order(p: int, d: int) -> None:
         raise ValueError(f"extension degree must be >= 1, got {d}")
     if p > MAX_ORDER or d >= MAX_ORDER.bit_length() or p**d > MAX_ORDER:
         raise ValueError(f"p^d outside supported range: {p}^{d} > {MAX_ORDER}")
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise ValueError(f"p not prime: {p}")
 
 
@@ -150,6 +173,9 @@ class Field:
         self.d = d
         self.q = q
         self.modulus = modulus
+        # base-p integer encoding of the modulus polynomial (low-to-high);
+        # for p = 2 also the bit mask `_mul_poly` reduces by
+        self.modulus_id = _from_digits(modulus, p)
         self._build_tables()
 
     # -- construction helpers -------------------------------------------------
@@ -165,10 +191,9 @@ class Field:
                     prod ^= x
                 x <<= 1
                 b >>= 1
-            mod_int = sum(c << i for i, c in enumerate(self.modulus))
             for shift in range(prod.bit_length() - 1 - d, -1, -1):
                 if prod >> (shift + d) & 1:
-                    prod ^= mod_int << shift
+                    prod ^= self.modulus_id << shift
             return prod
         ca, cb = self.coeff_vector(a), self.coeff_vector(b)
         prod = [0] * (2 * d - 1)
@@ -176,22 +201,12 @@ class Field:
             if ai:
                 for j, bj in enumerate(cb):
                     prod[i + j] = (prod[i + j] + ai * bj) % p
-        rem = _poly_rem(prod, self.modulus, p)
-        return sum(c * p**i for i, c in enumerate(rem))
+        return _from_digits(_poly_rem(prod, self.modulus, p), p)
 
     def _build_tables(self) -> None:
         q = self.q
         order = q - 1
-        prime_factors = []
-        t, f = order, 2
-        while f * f <= t:
-            if t % f == 0:
-                prime_factors.append(f)
-                while t % f == 0:
-                    t //= f
-            f += 1
-        if t > 1:
-            prime_factors.append(t)
+        prime_factors = _prime_factors(order)
 
         def pow_naive(a, e):
             acc, base = 1, a
@@ -224,13 +239,7 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        p, acc, mul, x, y = self.p, 0, 1, a, b
-        for _ in range(self.d):
-            acc += ((x + y) % p) * mul
-            x //= p
-            y //= p
-            mul *= p
-        return acc
+        return self._digitwise(a, b, 1)
 
     def neg(self, a: int) -> int:
         return self.sub(0, a)
@@ -240,11 +249,16 @@ class Field:
             return (a - b) % self.p
         if self.p == 2:
             return a ^ b
-        p, acc, mul, x, y = self.p, 0, 1, a, b
+        return self._digitwise(a, b, -1)
+
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """a + sign * b for odd p and d > 1, sign 1 or -1: addition is
+        digit-wise mod p, so digit k is (a // p^k + sign * (b // p^k)) mod p."""
+        p, acc, mul = self.p, 0, 1
         for _ in range(self.d):
-            acc += ((x - y) % p) * mul
-            x //= p
-            y //= p
+            acc += (a + sign * b) % p * mul
+            a //= p
+            b //= p
             mul *= p
         return acc
 
@@ -277,27 +291,15 @@ class Field:
         """Coefficient view of an element, low degree first, length d."""
         if not 0 <= a < self.q:
             raise ValueError(f"element out of range: {a}")
-        coeffs, p = [], self.p
-        for _ in range(self.d):
-            coeffs.append(a % p)
-            a //= p
-        return tuple(coeffs)
+        return tuple(_digits(a, self.p, self.d))
 
     def from_coeffs(self, coeffs) -> int:
         if len(coeffs) != self.d:
             raise ValueError(f"expected {self.d} coefficients, got {len(coeffs)}")
-        acc, mul = 0, 1
         for c in coeffs:
             if not 0 <= c < self.p:
                 raise ValueError(f"coefficient out of range: {c}")
-            acc += c * mul
-            mul *= self.p
-        return acc
-
-    @property
-    def modulus_id(self) -> int:
-        """Base-p integer encoding of the modulus polynomial (low-to-high)."""
-        return sum(c * self.p**i for i, c in enumerate(self.modulus))
+        return _from_digits(coeffs, self.p)
 
     @property
     def q_spec(self) -> str:
@@ -337,13 +339,12 @@ def field_for_order(q: int) -> Field:
     """GF(q) with the default modulus, factoring q = p^d."""
     if not 2 <= q <= MAX_ORDER:
         raise ValueError(f"q must be a prime power in [2, {MAX_ORDER}], got {q}")
-    p = next(i for i in range(2, q + 1) if q % i == 0)
-    d, t = 0, q
-    while t % p == 0:
-        t //= p
-        d += 1
-    if t != 1:
+    primes = _prime_factors(index(q))  # a float q, even 4.0, is a TypeError
+    if len(primes) > 1:
         raise ValueError(f"q must be a prime power, got {q}")
+    p, d = primes[0], 1
+    while p**d < q:
+        d += 1
     return make_field(p, d)
 
 
@@ -356,10 +357,8 @@ def field_from_q_spec(spec: str) -> Field:
     except ValueError:
         raise ValueError(f"malformed q-spec: {spec!r}") from None
     _check_order(p, d)
-    coeffs, t = [], mod_id
-    for _ in range(d + 1):
-        coeffs.append(t % p)
-        t //= p
-    if t:
+    if mod_id < 0:
+        raise ValueError(f"modulus id {mod_id} is negative")
+    if mod_id >= p ** (d + 1):
         raise ValueError(f"modulus id {mod_id} too large for degree {d} over F_{p}")
-    return make_field(p, d, coeffs)
+    return make_field(p, d, _digits(mod_id, p, d + 1))

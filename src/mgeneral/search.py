@@ -118,10 +118,10 @@ from operator import getitem, mul
 
 from . import __version__
 from ._record import record
-from .affine import PointSet, _check_m_range, _path_or_stream, _tested_m, is_m_general
+from .affine import PointSet, _check_m_range, _decode, _path_or_stream, _tested_m, is_m_general
 from .arithmetic import is_m_general_arithmetic
 from .bounds import refined_bound, search_cap, within_cap
-from .field import Field, field_for_order, field_from_q_spec
+from .field import Field, _digits, field_for_order, field_from_q_spec
 
 __all__ = [
     "SearchCertificate",
@@ -205,15 +205,6 @@ def _setup(n: int, q, m: int):
     if n >= AMBIENT_LIMIT.bit_length() or field.q**n > AMBIENT_LIMIT:
         raise ValueError(f"ambient too large for search: q^n = {field.q}^{n} > {AMBIENT_LIMIT}")
     return field, field.q**n, refined_bound(n, field.q, m) if m >= 4 else None
-
-
-def _decode(q: int, n: int, code: int) -> tuple[int, ...]:
-    """Inverse of PointSet.encode: the point whose base-q digits are code."""
-    coords = []
-    for _ in range(n):
-        code, c = divmod(code, q)
-        coords.append(c)
-    return tuple(reversed(coords))
 
 
 class _Run:
@@ -416,8 +407,7 @@ class _Lifted:
             row = []
             for e in range(q):
                 rot = []
-                for t in range(d):
-                    c = e // p**t % p
+                for t, c in enumerate(_digits(e, p, d)):
                     if c:
                         k = (n - i) * d + t
                         w = p**k

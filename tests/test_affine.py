@@ -36,6 +36,13 @@ def test_point_set_validation(f3):
     for bad in [(1.7, 2.9), ("1", "2"), (1, None)]:  # refused, not truncated to (1, 2)
         with pytest.raises(ValueError, match="coordinate not an integer"):
             PointSet.of(f3, 2, [bad])
+    # a message shows the point as given when a coordinate is no integer, else as integers
+    for bad, message in [([1.0, 2], "coordinate not an integer: (1.0, 2)"),
+                         ([-1, 2], "coordinate out of range for q=3: (-1, 2)"),
+                         ((True, 3), "coordinate out of range for q=3: (1, 3)")]:
+        with pytest.raises(ValueError) as err:
+            PointSet.of(f3, 2, [bad])
+        assert str(err.value) == message
 
 
 def test_affine_rank_examples(f3):

@@ -6,7 +6,10 @@ import pytest
 
 from mgeneral.field import (
     Field,
+    _digits,
+    _from_digits,
     default_modulus,
+    field_for_order,
     field_from_q_spec,
     is_irreducible,
     load_modulus_table,
@@ -144,10 +147,13 @@ def test_pow_conventions(f5):
     assert f5.pow(2, 4) == 1  # Fermat
 
 
-def test_coeff_vector_round_trip(f8, f9):
-    for f in (f8, f9):
+def test_coeff_vector_round_trip(f2, f3, f4, f5, f8, f9):
+    # the fields of test_search._GRID; an element's base-p digits are its coefficients
+    for f in (f2, f3, f4, f5, make_field(7), f8, f9):
         for a in f.elements():
             assert f.from_coeffs(f.coeff_vector(a)) == a
+            digits = _digits(a, f.p, f.d)
+            assert tuple(digits) == f.coeff_vector(a) and _from_digits(digits, f.p) == a
 
 
 def test_deterministic_construction():
@@ -177,6 +183,33 @@ def test_q_spec_round_trip(f4, f9):
         assert field_from_q_spec(f.q_spec) == f
     with pytest.raises(ValueError, match="q-spec"):
         field_from_q_spec("nonsense")
+    # ids outside [0, p^(d+1)) are refused before any digit is taken; the
+    # largest id in range, 3 = x + 1 over F_2, is a field
+    assert field_from_q_spec("2^1:3") == make_field(2, 1, (1, 1))
+    for spec, message in [("2^1:-1", "modulus id -1 is negative"),
+                          ("3^2:-28", "modulus id -28 is negative"),
+                          ("2^1:4", "modulus id 4 too large for degree 1 over F_2"),
+                          ("3^2:27", "modulus id 27 too large for degree 2 over F_3")]:
+        with pytest.raises(ValueError) as err:
+            field_from_q_spec(spec)
+        assert str(err.value) == message
+    with pytest.raises(ValueError, match="monic"):  # 26 = 2 + 2*3 + 2*9 is in range
+        field_from_q_spec("3^2:26")
+
+
+def test_field_for_order_factors_q():
+    for q, p, d in [(2, 2, 1), (65521, 65521, 1), (65536, 2, 16), (9, 3, 2), (3125, 5, 5)]:
+        f = field_for_order(q)
+        assert (f.p, f.d, f.q) == (p, d, q) and f == make_field(p, d)
+    for q, message in [(6, "q must be a prime power, got 6"),
+                       (65535, "q must be a prime power, got 65535"),
+                       (1, "q must be a prime power in [2, 65536], got 1"),
+                       (65537, "q must be a prime power in [2, 65536], got 65537")]:
+        with pytest.raises(ValueError) as err:
+            field_for_order(q)
+        assert str(err.value) == message
+    with pytest.raises(TypeError):
+        field_for_order(4.0)  # not taken as 4
 
 
 def test_modulus_table_file_round_trip(tmp_path):

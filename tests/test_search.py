@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 from mgeneral import affine, search
-from mgeneral.affine import PointSet, add_point_preserves, is_m_general
+from mgeneral.affine import PointSet, _decode, add_point_preserves, is_m_general
 from mgeneral.bounds import refined_bound
 from mgeneral.field import field_for_order, make_field
 from mgeneral.search import (
@@ -421,6 +421,18 @@ _KERNEL_GRID = pytest.mark.parametrize(
     + [(2, 1, _SubsetSums, (2, 3, 4, 5))],
     ids=[f"{p}-{d}" for p, d in _GRID] + [f"flats-{p}-{d}" for p, d in _GRID] + ["subsetsums-2-1"],
 )
+
+
+@pytest.mark.parametrize("p,d", _GRID, ids=[f"{p}-{d}" for p, d in _GRID])
+def test_point_codes_round_trip(p, d):
+    """`_decode` inverts `PointSet.encode` on all of AG(n,q), n <= 3, and
+    code order is the lex order of `_all_points`."""
+    field = make_field(p, d)
+    q = field.q
+    for n in (1, 2, 3):
+        A = PointSet.of(field, n, [])
+        for code, x in enumerate(_all_points(q, n)):
+            assert A.encode(x) == code and _decode(q, n, code) == x
 
 
 def _kernel_ms(kernel, n):
