@@ -76,22 +76,24 @@ Leaf pass: many nodes sit at the best size and only find out that they
 cannot grow.  When a node other than the origin holds best - 1 points, each
 child it tries sits at the best size, and is a leaf unless some allowed
 point above the child stays free once the child joins, which would make a
-new best.  `_Run.run` asks the kernel's `leading_leaves` how many of the
-lowest allowed codes are leaves (the last one is never tried: the size
-bound stops first), counts each leaf as a node under the same stop rules
-and drops it with no extend, push or pop; the next child, if any, is a new
-best and is pushed as before.  The subset-sum kernel answers with one bit
-test of E_{k-1} per pair of codes, or one translate of E_{k-1} where the
-codes above x outnumber the set bits of x; `_Lifted` and `_Flats` extend
-by each code.  Nodes, values and witnesses are those of the plain loop.
+new best.  `_Run.run` asks the kernel's `leaf` whether its lowest allowed
+code x is one (the last code is never tried: the size bound stops first),
+counts it as a node under the same stop rules and drops it with no extend,
+push or pop, and asks again of the next; the first child that is no leaf
+is a new best's parent and is pushed as before.  The subset-sum kernel
+answers with one bit test of E_{k-1} per code above x, or one translate of
+E_{k-1} where the codes above x outnumber the set bits of x; `_Lifted` and
+`_Flats` extend by x.  Nodes, values and witnesses are those of the plain
+loop.
 
 Budgets: `search_exact` splits the second points into spans, one or
 4 * workers.  A span is one `_Run` record: the search from the origin whose
-first level is a window of second points; every allowed point above the
-window's start still counts toward the size bound, so the pruning is that
-of the unsplit search.  The search process runs span 0, the heaviest, and
-min(workers, CPUs, spans) - 1 helper processes take the others in order
-from one shared counter (`_run_in_order`); each process builds one kernel.
+first level stops at the end of a window of second points; its bottom frame
+allows every point above the window's start, so the size bound, and the
+pruning, are those of the unsplit search.  The search process runs span 0,
+the heaviest, and min(workers, CPUs, spans) - 1 helper processes take the
+others in order from one shared counter and send each record back whole
+(`_run_in_order`); each process builds one kernel.
 `_Run.run` is one loop over a list of frames, not Python calls, so search
 depth is limited only by the budgets.  That loop makes every stop, with no
 call per node: at the cap, past the span's share max_nodes // spans, or
@@ -229,41 +231,40 @@ class _Run:
     def run(self, kernel) -> _Run:
         """The search from the origin with kernel, the blocked-set kernel of
         (field, n, m), built once per process (`_Flats`' lookup closures do
-        not pickle); returns self.  codes is the current
-        set A; frames holds a (state, allowed, remaining) frame for each
-        parent of A, allowed the points it has yet to try and remaining
-        the count toward the size bound.  Only the bottom frame is masked
-        by the window; every child allows all points above its new code.
+        not pickle); returns self.  codes is the current set A; frames holds
+        a (state, allowed) frame for each parent of A, allowed the points it
+        has yet to try, whose count is the size bound.  The bottom frame
+        allows every point above lo and ends once its lowest is at or past
+        hi; every child allows all points above its new code.
 
         Each node is counted unless it reaches the cap; the search stops
         there, past the node budget or past the deadline, with `stopped`
         set.  Leaf pass (see the module docstring): a frame above the bottom
-        one whose set is one short of the best size counts its leading
-        leaves one node at a time under the same stops and drops them with
-        no extend, then pops or pushes its next child, a new best.  The
-        bottom frame's allowed is windowed, its children's are not, so it
-        keeps the plain path."""
-        full, extend, leaves, clock = kernel.full, kernel.extend, kernel.leading_leaves, time.monotonic
+        one whose set is one short of the best size counts each lowest
+        allowed code that the kernel's `leaf` finds blocks every code above
+        it, one node at a time under the same stops, and drops it with no
+        extend; then it pops, if one code is left, or pushes the next child.
+        The bottom frame skips the pass: its leaves could lie past hi."""
+        full, extend, leaf, clock = kernel.full, kernel.extend, kernel.leaf, time.monotonic
         cap = self.cap if self.cap is not None else float("inf")
         max_nodes, deadline, size, nodes = self.max_nodes, self.deadline, self.size, self.nodes
         state, codes, frames = extend(kernel.empty, 0), [0], []
-        allowed = ~state[0] & full & -(1 << self.lo)
-        remaining = allowed.bit_count()
-        allowed &= (1 << self.hi) - 1  # the window [lo, hi)
+        allowed, hi = ~state[0] & full & -(1 << self.lo), 1 << self.hi  # the window [lo, hi) ends at bit hi
         try:
             while True:
-                if allowed and (depth := len(codes)) + remaining > size:
+                if allowed and (depth := len(codes)) + allowed.bit_count() > size:
+                    low = allowed & -allowed
                     if depth == size - 1 and frames:  # every child is at the best size
-                        for _ in range(leaves(state, allowed)):
+                        while (rest := allowed ^ low) and leaf(state, low.bit_length() - 1, rest):
                             nodes += 1
                             if nodes > max_nodes or clock() > deadline:
                                 self.stopped = True
                                 return self
-                            allowed &= allowed - 1
-                            remaining -= 1
-                        if remaining < 2:  # only the last code is left: pop
+                            allowed, low = rest, rest & -rest
+                        if not rest:  # only the last code is left: pop
                             continue
-                    low = allowed & -allowed
+                    elif not frames and low >= hi:  # the bottom frame is past its window
+                        return self
                     codes.append(low.bit_length() - 1)
                     if depth == size:  # a new best
                         size, self.witness = depth + 1, list(codes)
@@ -274,12 +275,11 @@ class _Run:
                     if nodes > max_nodes or clock() > deadline:
                         self.stopped = True
                         return self
-                    frames.append((state, allowed ^ low, remaining - 1))
+                    frames.append((state, allowed ^ low))
                     state = extend(state, codes[-1])
                     allowed = ~state[0] & full & -(low << 1)
-                    remaining = allowed.bit_count()
                 elif frames:
-                    state, allowed, remaining = frames.pop()
+                    state, allowed = frames.pop()
                     codes.pop()
                 else:
                     return self
@@ -291,21 +291,15 @@ class _Run:
 #
 # A kernel has `full` (every point code), an `empty` state,
 # `extend(state, code) -> state` for a point joining A, and
-# `leading_leaves(state, allowed) -> int`, allowed a set of codes free in
-# state, for the search's leaf pass; the first field of a state is the
-# blocked mask, the codes that can no longer join A.
+# `leaf(state, x, above) -> bool`, x and the codes of above free in state,
+# for the search's leaf pass: once x joins A, is every code of above
+# blocked?  The first field of a state is the blocked mask, the codes that
+# can no longer join A.
 
 
-def _leaves_by_extend(kernel, state, allowed) -> int:
-    """How many of the lowest codes x of allowed, the last one excepted, leave
-    no allowed code above x free once x joins A: one extend per code."""
-    count, extend = 0, kernel.extend
-    while True:
-        low = allowed & -allowed
-        allowed ^= low
-        if not allowed or allowed & ~extend(state, low.bit_length() - 1)[0]:
-            return count
-        count += 1
+def _leaf_by_extend(kernel, state, x, above) -> bool:
+    """Whether x joining A blocks every code of above: one extend."""
+    return not above & ~kernel.extend(state, x)[0]
 
 
 def _digit_mask(p: int, k: int, t: int, size: int) -> int:
@@ -361,7 +355,7 @@ class _Flats:
             level = grown
         return blocked, pts + (x,)
 
-    leading_leaves = _leaves_by_extend
+    leaf = _leaf_by_extend
 
 
 class _Lifted:
@@ -443,7 +437,7 @@ class _Lifted:
             up = w >> carry if carry else w  # a shift by 0 would copy w
         return (blocked | w >> self.slice & self.full, *grown)
 
-    leading_leaves = _leaves_by_extend
+    leaf = _leaf_by_extend
 
 
 class _SubsetSums:
@@ -475,36 +469,24 @@ class _SubsetSums:
         low = 1 << code
         return blocked | low | moved >> self.top, (packed | moved << self.block | low) & self.packed
 
-    def leading_leaves(self, state, allowed) -> int:
-        """How many of the lowest codes x of allowed, the last one excepted,
-        leave no allowed code y above x free once x joins A.  x blocks {x}
-        and x xor E_{k-1}, so y stays free exactly when bit x xor y of
-        E_{k-1} is clear: one bit test per pair while the codes above x are
-        no more than the swaps of a translate of E_{k-1} by x, the translate
+    def leaf(self, state, x, above) -> bool:
+        """Whether x joining A blocks every code y of above.  x blocks {x} and
+        x xor E_{k-1}, so y stays free exactly when bit x xor y of E_{k-1} is
+        clear: one bit test per y while above holds no more codes than x has
+        set bits (the swaps of a translate), a translate of E_{k-1} by x
         otherwise."""
-        sums, swaps = state[1] >> self.top, self.swaps
-        count = 0
-        while True:
-            low = allowed & -allowed
-            allowed ^= low
-            if not allowed:
-                return count
-            x = low.bit_length() - 1
-            if allowed.bit_count() <= x.bit_count():
-                rest = allowed
-                while rest:
-                    y = rest & -rest
-                    if not sums >> (x ^ y.bit_length() - 1) & 1:
-                        return count
-                    rest ^= y
-            else:
-                moved = sums
-                for v, mask in swaps:
-                    if x & v:
-                        moved = (moved & mask) << v | (moved >> v) & mask
-                if allowed & ~moved:
-                    return count
-            count += 1
+        sums = state[1] >> self.top
+        if above.bit_count() <= x.bit_count():
+            while above:
+                y = above & -above
+                if not sums >> (x ^ y.bit_length() - 1) & 1:
+                    return False
+                above ^= y
+            return True
+        for v, mask in self.swaps:
+            if x & v:
+                sums = (sums & mask) << v | (sums >> v) & mask
+        return not above & ~sums
 
 
 def _settled_size(q: int, n: int, m: int) -> int | None:
@@ -548,8 +530,8 @@ def _make_certificate(field, n, m, codes, bound, **fields) -> SearchCertificate:
 
 def _helper(spans, taken, conn) -> None:
     """A helper process: run the spans not yet taken (the shared counter
-    taken) and send (index, record or exception) for each on conn, then
-    (None, None); an exception ends the loop."""
+    taken) and send (index, the `_Run` record or an exception) for each on
+    conn, then (None, None); an exception ends the loop."""
     kernel = _kernel(spans[0].field, spans[0].n, spans[0].m)
     while True:
         with taken.get_lock():
@@ -563,7 +545,7 @@ def _helper(spans, taken, conn) -> None:
 
             conn.send((i, ExceptionWithTraceback(e, e.__traceback__)))
             break
-        conn.send((i, (run.size, run.nodes, run.stopped, run.witness)))
+        conn.send((i, run))
     conn.send((None, None))
 
 
@@ -608,9 +590,7 @@ def _run_in_order(spans, procs, cap) -> list[_Run]:
             record = reported.pop(len(runs))
             if isinstance(record, BaseException):
                 raise record
-            run = spans[len(runs)]
-            run.size, run.nodes, run.stopped, run.witness = record
-            runs.append(run)
+            runs.append(record)
         return runs
     finally:
         for conn, proc in helpers.items():

@@ -271,46 +271,66 @@ def brute_force_max(field, n: int, m: int, node_budget: int = 10_000_000,
     return best["size"], best["witness"], best["nodes"]
 
 
-def pruned_search_replay(field, n: int, m: int, max_nodes: int):
+def pruned_search_replay(field, n: int, m: int, max_nodes: int, workers: int = 1):
     """The exact search's tree, replayed on `affine.add_point_preserves`:
     the origin fixed and not counted, points in canonical order (codes with
     the first coordinate most significant), lowest first, and a child tried
     only while |A| plus the candidates left beats the best size.  The node
     that reaches `bounds.search_cap` ends the run uncounted; the node past
-    max_nodes ends it counted.  One worker, no clock.  A point blocked for
-    A stays blocked for every superset, so a child tests only the points
-    its parent allowed.  Returns (value, witness points, exact, nodes)."""
+    max_nodes ends it counted.  No clock.  A point blocked for A stays
+    blocked for every superset, so a child tests only the points its parent
+    allowed.
+
+    The second points are split as `search_exact` splits them for workers:
+    one span for 1, else windows of ceil((q^n - 1) / 4 workers) codes.  Each
+    span is a search of its own from the origin with the budget
+    max_nodes // spans; its first level tries only its window, but every
+    allowed point above the window's start counts toward the size bound.
+    Spans are collected in order up to the first that reaches the cap, and
+    the first span of the largest size gives the witness.  Returns (value,
+    witness points, exact, nodes)."""
     from mgeneral.affine import PointSet, add_point_preserves
     from mgeneral.bounds import search_cap
 
-    q = field.q
-    points = [tuple(code // q ** (n - 1 - j) % q for j in range(n)) for code in range(q**n)]
+    q, total = field.q, field.q**n
+    points = [tuple(code // q ** (n - 1 - j) % q for j in range(n)) for code in range(total)]
     cap = search_cap(n, q, m)[0]
-    best = {"codes": [0], "nodes": 0, "stopped": False}
+    chunk = total - 1 if workers == 1 else -(-(total - 1) // (4 * workers))
+    starts = range(1, total, chunk)
+    budget = max_nodes // len(starts)
 
-    def dfs(A, codes, allowed) -> bool:  # False once the run ends
+    def dfs(run, A, codes, allowed, hi) -> bool:  # False once the span ends early
         for i, code in enumerate(allowed):
-            if len(codes) + len(allowed) - i <= len(best["codes"]):
+            if len(codes) + len(allowed) - i <= len(run["codes"]) or code >= hi:
                 return True
             grown = codes + [code]
-            if len(grown) > len(best["codes"]):
-                best["codes"] = grown
+            if len(grown) > len(run["codes"]):
+                run["codes"] = grown
                 if cap is not None and len(grown) >= cap:
                     return False
-            best["nodes"] += 1
-            if best["nodes"] > max_nodes:
-                best["stopped"] = True
+            run["nodes"] += 1
+            if run["nodes"] > budget:
+                run["stopped"] = True
                 return False
             child = A.with_point(points[code])
             later = [c for c in allowed[i + 1:] if add_point_preserves(child, points[c], m)]
-            if not dfs(child, grown, later):
+            if not dfs(run, child, grown, later, total):
                 return False
         return True
 
     origin = PointSet.of(field, n, [points[0]])
-    dfs(origin, [0], [c for c in range(1, q**n) if add_point_preserves(origin, points[c], m)])
+    runs = []
+    for lo in starts:
+        run = {"codes": [0], "nodes": 0, "stopped": False}
+        later = [c for c in range(lo, total) if add_point_preserves(origin, points[c], m)]
+        dfs(run, origin, [0], later, lo + chunk)
+        runs.append(run)
+        if cap is not None and len(run["codes"]) >= cap:
+            break
+    best = max(runs, key=lambda r: len(r["codes"]))
+    exact = not any(r["stopped"] for r in runs) or cap is not None and len(best["codes"]) >= cap
     codes = best["codes"]
-    return len(codes), tuple(points[c] for c in codes), not best["stopped"], best["nodes"]
+    return len(codes), tuple(points[c] for c in codes), exact, sum(r["nodes"] for r in runs)
 
 
 def greedy_reference(field, n: int, m: int, seed: int, restarts: int):

@@ -116,12 +116,14 @@ def test_max_seconds_must_be_nonnegative(max_seconds):
     (3, 3, 4, {"workers": 2}, (5, True, 2734)),
     (2, 5, 3, {}, (6, True, 4)),  # stops at the arc cap q + 1
     (2, 9, 4, {}, (3, True, 1)),  # stops at the dimension cap n + 1
+    (3, 3, 4, {"workers": 3}, (5, True, 2746)),
+    (5, 2, 4, {"workers": 3}, (7, True, 117182)),
     (3, 4, 4, {}, (5, True, 153554)),  # lifted, d = 2: two rotations per coordinate
     (2, 9, 3, {}, (10, True, 23)),  # stops at the arc cap q + 1; lifted, d = 2
     (4, 3, 3, {"max_nodes": 60}, (18, False, 61)),
     (6, 2, 4, {"max_nodes": 200_000}, (9, False, 200_001)),
-], ids=["q2n4m4", "q2n5m4", "q2n5m4w2", "q3n3m4", "q3n3m4w2", "q5n2m3", "q9n2m4", "q4n3m4", "q9n2m3",
-        "q3n4m3lim", "q2n6m4lim"])
+], ids=["q2n4m4", "q2n5m4", "q2n5m4w2", "q3n3m4", "q3n3m4w2", "q5n2m3", "q9n2m4", "q3n3m4w3", "q2n5m4w3",
+        "q4n3m4", "q9n2m3", "q3n4m3lim", "q2n6m4lim"])
 def test_exact_search_node_counts(n, q, m, kwargs, expected):
     # the stop rule fixes these: the node that reaches the cap is not counted,
     # and a span stops on the node past its budget
@@ -129,20 +131,28 @@ def test_exact_search_node_counts(n, q, m, kwargs, expected):
     assert (cert.value, cert.exact, cert.nodes_explored) == expected
 
 
-@pytest.mark.parametrize("n, q, m, max_nodes", [
-    (4, 2, 4, search.DEFAULT_MAX_NODES), (3, 3, 4, search.DEFAULT_MAX_NODES),
-    (5, 2, 4, 12), (5, 2, 4, 130), (5, 2, 4, 190), (3, 3, 3, 500), (4, 3, 3, 60),
-])
-def test_node_counts_match_rank_test_replay(n, q, m, max_nodes):
+_REPLAY_CELLS = [
+    (4, 2, 4, search.DEFAULT_MAX_NODES, 1), (3, 3, 4, search.DEFAULT_MAX_NODES, 1),
+    (5, 2, 4, 12, 1), (5, 2, 4, 130, 1), (5, 2, 4, 190, 1), (3, 3, 3, 500, 1), (4, 3, 3, 60, 1),
+] + [(5, 2, 4, 13, w) for w in (2, 3)] + [(5, 2, 4, 190, w) for w in (2, 3)] + [
+    (3, 3, 4, search.DEFAULT_MAX_NODES, w) for w in (2, 3)] + [(4, 3, 3, 60, w) for w in (2, 3)]
+
+
+@pytest.mark.parametrize("n, q, m, max_nodes, workers", _REPLAY_CELLS, ids=[
+    f"{n}-{q}-{m}-{max_nodes}" + (f"-w{w}" if w > 1 else "") for n, q, m, max_nodes, w in _REPLAY_CELLS])
+def test_node_counts_match_rank_test_replay(n, q, m, max_nodes, workers):
     """The search's nodes, value, witness and exact flag equal those of the
     same tree replayed on the rank test (`oracles.pruned_search_replay`),
-    which shares no code with the kernels or the leaf pass.  (5, 2, 4)
-    stops inside leaf runs: at nodes 13, 131 and 191, in the runs of 14, 15
-    and 15 leaves after nodes 6, 123 and 182."""
+    which shares no code with the kernels, the leaf pass or the span
+    driver.  (5, 2, 4) stops inside leaf runs: at nodes 13, 131 and 191, in
+    the runs of 14, 15 and 15 leaves after nodes 6, 123 and 182.  With 2 and
+    3 workers each span has its own share of the budget and its own window
+    of second points, with every allowed point above the window's start in
+    its size bound."""
     field = field_for_order(q)
-    cert = search_exact(n, field, m, max_nodes=max_nodes)
+    cert = search_exact(n, field, m, max_nodes=max_nodes, workers=workers)
     got = (cert.value, cert.witness, cert.exact, cert.nodes_explored)
-    assert got == pruned_search_replay(field, n, m, max_nodes)
+    assert got == pruned_search_replay(field, n, m, max_nodes, workers)
 
 
 def test_worker_partition_determinism(f3):
@@ -515,30 +525,21 @@ def test_lifted_plans_are_reused_unchanged(p, d, monkeypatch):
                     state = warm.extend(state, rng.choice(free))
 
 
-def _leaf_recount(kernel, state, allowed):
-    """leading_leaves by its definition, one extend per code: how many of the
-    lowest codes x of allowed, the last one excepted, leave no allowed code
-    above x free once x joins."""
-    codes = [c for c in range(allowed.bit_length()) if allowed >> c & 1]
-    for i, x in enumerate(codes[:-1]):
-        blocked = kernel.extend(state, x)[0]
-        if any(not blocked >> y & 1 for y in codes[i + 1:]):
-            return i
-    return max(len(codes) - 1, 0)
-
-
 @_KERNEL_GRID
 def test_leading_leaves_matches_extend_recount(p, d, kernel, ns, monkeypatch):
-    """At random states along random m-general sets, for every m of
-    `_kernel_ms`, the kernel's leading_leaves equals the recount from extend
-    on sets of free codes drawn at random: a few (pair tests in
-    `_SubsetSums`), or up to 64 (a translate of E_{k-1}, wherever more codes
-    lie above x than x has set bits).  `_Lifted` runs with one block to an
-    int and with all m-1."""
+    """The leaf question, which decides the leading leaves the search counts:
+    at random states along random m-general sets, for every m of
+    `_kernel_ms` and every free code x but the last (64 of them drawn at
+    random where more are free), the kernel's `leaf(state, x, above)` equals
+    the recount from extend on sets above of 1, 2, 3, 5 and 64 free codes
+    above x drawn at random (fewer where fewer are left).  Both
+    answers occur, and `_SubsetSums` runs both its bit tests (above holds no
+    more codes than x has set bits) and its translate of E_{k-1}.
+    `_Lifted` runs with one block to an int and with all m-1."""
     field = make_field(p, d)
     q = field.q
     rng = random.Random(f"leaves:{q}:{kernel.__name__}")
-    found = 0
+    answers, branches = set(), set()
     for per in [lambda m: 1, lambda m: m - 1] if kernel is _Lifted else [None]:
         for n in ns:
             for m in _kernel_ms(kernel, n):
@@ -550,13 +551,19 @@ def test_leading_leaves_matches_extend_recount(p, d, kernel, ns, monkeypatch):
                     free = [c for c in range(q**n) if not state[0] >> c & 1]
                     if not free:
                         break
-                    for size in (1, 2, 3, 5, 64):
-                        allowed = sum(1 << c for c in rng.sample(free, min(size, len(free))))
-                        got = blocks.leading_leaves(state, allowed)
-                        assert got == _leaf_recount(blocks, state, allowed), (n, m, state, allowed)
-                        found += got
+                    for x in sorted(rng.sample(free[:-1], min(64, len(free) - 1))):
+                        later = free[free.index(x) + 1:]
+                        blocked = blocks.extend(state, x)[0]  # leaf by its definition
+                        for size in (1, 2, 3, 5, 64):
+                            above = rng.sample(later, min(size, len(later)))
+                            got = blocks.leaf(state, x, sum(1 << y for y in above))
+                            assert got == all(blocked >> y & 1 for y in above), (n, m, state, x, above)
+                            answers.add(got)
+                            branches.add(len(above) <= x.bit_count())
                     state = blocks.extend(state, rng.choice(free))
-    assert found  # leaves were found
+    assert answers == {False, True}
+    if kernel is _SubsetSums:
+        assert branches == {False, True}
 
 
 def test_kernel_choice_at_the_ambient_limit(monkeypatch):
