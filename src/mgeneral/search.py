@@ -9,7 +9,7 @@ the first witness found at any size is the lexicographically least one.
 Theorem cells (`_settled_size`: q = 2 with m = 3, and n = 1) need no
 search: the exact search returns the r lowest codes, exact after 0 nodes
 with the one reduction `f2-even-support` (`dimension-cap` at n = 1), and
-the greedy keeps the first r codes of each restart's shuffle.
+the greedy keeps the first r codes of each restart's order.
 
 One search loop and one randomized greedy run for every other cell.  Each
 keeps, per depth, the points that can no longer join A as one big-integer
@@ -102,8 +102,9 @@ Both budgets (>= 0) cover the whole run: spans are collected in order until
 one reaches the cap.
 
 Greedy restart r scans the point codes in the Fisher-Yates order that
-`random.Random(f"{seed}:{r}").shuffle` draws from its `getrandbits`, and
-keeps each code left free.
+`random.Random(f"{seed}:{r}").shuffle` would give them, drawn here from the
+same generator's `getrandbits` (`_shuffled`; a test pins the two equal),
+keeps each code left free, and ends once every code is chosen or blocked.
 
 Certificates are JSON files carrying the witness and enough provenance to
 re-verify from scratch; `verify_certificate` re-runs both the geometric and
@@ -651,6 +652,22 @@ def search_exact(
     )
 
 
+def _shuffled(seed: str, total: int) -> list[int]:
+    """range(total) in the order `random.Random(seed).shuffle` gives it, its
+    Fisher-Yates drawn here with no call per swap: for i from total - 1 down
+    to 1, j = getrandbits(k) with k = (i + 1).bit_length(), redrawn while
+    j > i, then order[i] and order[j] swap; k is set once per band of equal k."""
+    getrandbits = random.Random(seed).getrandbits
+    order = list(range(total))
+    for k in range(total.bit_length(), 1, -1):
+        for i in range(min(total - 1, (1 << k) - 2), (1 << k - 1) - 2, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
+    return order
+
+
 def search_greedy(n: int, q, m: int, seed: int = 0, restarts: int = 1) -> SearchCertificate:
     """Randomized greedy with restarts; deterministic for a given (seed, restarts)."""
     if restarts < 1:
@@ -660,9 +677,7 @@ def search_greedy(n: int, q, m: int, seed: int = 0, restarts: int = 1) -> Search
     kernel = _kernel(field, n, m) if settled is None else None
     best_wit = []
     for r in range(restarts):
-        rng = random.Random(f"{seed}:{r}")
-        order = list(range(total))
-        rng.shuffle(order)
+        order = _shuffled(f"{seed}:{r}", total)
         if kernel is None:
             chosen = order[:settled]
         else:
@@ -671,8 +686,10 @@ def search_greedy(n: int, q, m: int, seed: int = 0, restarts: int = 1) -> Search
                 if blocked[code >> 3] >> (code & 7) & 1:
                     continue
                 state = kernel.extend(state, code)
-                blocked = state[0].to_bytes(len(blocked), "little")
                 chosen.append(code)
+                if state[0] == kernel.full:  # every code chosen or blocked
+                    break
+                blocked = state[0].to_bytes(len(blocked), "little")
         wit = sorted(chosen)
         if (-len(wit), wit) < (-len(best_wit), best_wit):  # larger, then lex-least
             best_wit = wit

@@ -4,9 +4,10 @@ Everything here is deliberately written from the definitions, sharing no
 algorithmic machinery with the package: multiplication is schoolbook
 polynomial arithmetic, affine dependence enumerates coefficient vectors,
 inverses are found by scanning, and the search oracle is an unpruned DFS
-with no symmetry reduction.  `pruned_search_replay` is the one exception:
-it replays the package's pruned search rules on the rank test, so that
-node counts, not just values, can be compared.
+with no symmetry reduction.  Two are exceptions: `pruned_search_replay`
+replays the package's pruned search rules on the rank test, so that node
+counts, not just values, can be compared, and `greedy_by_shuffle` runs the
+package's greedy kernels in `random.shuffle` order.
 """
 
 from __future__ import annotations
@@ -370,6 +371,40 @@ def greedy_reference(field, n: int, m: int, seed: int, restarts: int):
         if len(codes) > len(best) or (len(codes) == len(best) and codes < best):
             best = codes
     return len(best), tuple(decode(c) for c in best), checks
+
+
+def greedy_by_shuffle(n: int, q, m: int, seed: int, restarts: int):
+    """`search.search_greedy` as it ran on `random.shuffle`: restart r scans
+    every point code in `random.Random(f"{seed}:{r}").shuffle` order on the
+    package's own kernel, with no early end.  Like `pruned_search_replay`
+    it shares the package's machinery, here to pin the package's own draw
+    of the order to `shuffle` on whole certificates, at sizes too large for
+    `greedy_reference`.  Returns the certificate."""
+    import random
+
+    from mgeneral import search
+
+    field, total, bound = search._setup(n, q, m)
+    settled = search._settled_size(field.q, n, m)
+    kernel = search._kernel(field, n, m) if settled is None else None
+    best = []
+    for r in range(restarts):
+        order = list(range(total))
+        random.Random(f"{seed}:{r}").shuffle(order)
+        if kernel is None:
+            chosen = order[:settled]
+        else:
+            chosen, state = [], kernel.empty
+            for code in order:
+                if not state[0] >> code & 1:
+                    state = kernel.extend(state, code)
+                    chosen.append(code)
+        chosen.sort()
+        if (-len(chosen), chosen) < (-len(best), best):
+            best = chosen
+    return search._make_certificate(
+        field, n, m, best, bound, exact=False, nodes_explored=restarts * total,
+        seed=seed, restarts=restarts, reductions=("greedy",))
 
 
 def finite_difference(fn, t: float, eps: float = 1e-7) -> float:

@@ -28,7 +28,7 @@ from mgeneral.search import (
     verify_certificate,
     write_certificate,
 )
-from oracles import brute_force_max, greedy_reference, pruned_search_replay
+from oracles import brute_force_max, greedy_by_shuffle, greedy_reference, pruned_search_replay
 
 
 def test_trivial_line():
@@ -319,6 +319,37 @@ def test_helpers_under_spawn(monkeypatch):
     cert = search_exact(3, 3, 4, workers=2)
     assert (cert.value, cert.exact, cert.nodes_explored) == (5, True, 2734)
     assert multiprocessing.active_children() == []
+
+
+def test_result_pipes_closed(monkeypatch):
+    """Every result pipe is closed before the run returns or raises: none is
+    left for the collector, which would close it unreported.  (Comparing the
+    open descriptors after the run would not tell: refcounting collects an
+    unclosed pipe as `_run_in_order` returns.)"""
+    import gc
+    from multiprocessing.connection import Connection
+
+    unclosed, real = [], Connection.__del__
+
+    def __del__(conn):
+        if conn._handle is not None:
+            unclosed.append(conn._handle)
+        real(conn)
+
+    monkeypatch.setattr(Connection, "__del__", __del__)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    assert search_exact(3, 3, 4, workers=2).nodes_explored == 2734
+    gc.collect()
+    assert unclosed == []
+
+    def fail(run):
+        raise ZeroDivisionError(f"span at {run.lo}")
+
+    _failing_second_span(monkeypatch, fail)
+    with pytest.raises(ZeroDivisionError):
+        search_exact(5, 2, 4, workers=2)
+    gc.collect()
+    assert unclosed == []
 
 
 def test_monotonicity_of_exact_values(f2, f3):
@@ -703,6 +734,29 @@ def test_greedy_matches_reference(p, d, n, m):
         cert = search_greedy(n, field, m, seed=seed, restarts=restarts)
         want = greedy_reference(field, n, m, seed, restarts)
         assert (cert.value, cert.witness, cert.nodes_explored) == want
+
+
+@pytest.mark.parametrize("total", [2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 243, 1023, 1024, 1025, 4096])
+def test_greedy_order_is_shuffle(total):
+    """The greedy draws its Fisher-Yates order from `getrandbits` itself, in
+    bands of equal bit length; on this interpreter it is `shuffle`'s order,
+    at every band edge."""
+    for s in range(50):
+        want = list(range(total))
+        random.Random(f"{s}:{total}").shuffle(want)
+        assert search._shuffled(f"{s}:{total}", total) == want, s
+
+
+@pytest.mark.parametrize("n,q,m,restarts", [(12, 2, 4, 40), (11, 2, 4, 40), (10, 2, 4, 8), (5, 3, 3, 1),
+                                            (2, 9, 3, 30), (3, 4, 4, 5), (16, 2, 3, 2)])
+def test_greedy_matches_shuffle_loop(n, q, m, restarts):
+    """The same certificate, bytes included, as the restart loop on
+    `random.Random.shuffle` that scans every code: the early end once every
+    code is blocked changes nothing."""
+    cert = search_greedy(n, q, m, seed=1, restarts=restarts)
+    want = greedy_by_shuffle(n, q, m, seed=1, restarts=restarts)
+    assert cert == want
+    assert certificate_to_json(cert) == certificate_to_json(want)
 
 
 def test_theorem_cells_build_no_kernel(monkeypatch):
