@@ -255,12 +255,20 @@ def _check_bennett_pre(q: int, m: int, n: int | None = None) -> None:
         raise ValueError(f"need m >= 3, got m={m}")
 
 
+def _bennett_at(n: int, m: int, h_min: float) -> float:
+    return 2 * m + _exp(math.log(m) + n * math.log(h_min))
+
+
+def _mu_bennett_at(q: int, h_min: float) -> float:
+    return math.log(h_min) / math.log(q)
+
+
 def bennett_bound(n: int, q: int, m: int):
     """Bennett's bound 2m + m*(min h)^n, inf beyond the float range;
     returns (bound, t_star)."""
     _check_bennett_pre(q, m, n)
     t_star, h_min, _ = minimize_h(q, m)
-    return 2 * m + _exp(math.log(m) + n * math.log(h_min)), t_star
+    return _bennett_at(n, m, h_min), t_star
 
 
 def mu_upper_main(m: int) -> float:
@@ -274,7 +282,7 @@ def mu_upper_bennett(q: int, m: int) -> float:
     """Growth-rate bound log_q(min h) from Bennett's bound."""
     _check_bennett_pre(q, m)
     _, h_min, _ = minimize_h(q, m)
-    return math.log(h_min) / math.log(q)
+    return _mu_bennett_at(q, h_min)
 
 
 def bennett_lower_estimate(n: int, q: int, m: int) -> float:
@@ -325,9 +333,10 @@ def bound_report(n: int, q: int, m: int) -> BoundReport:
         refined = refined_bound(n, q, m)
         mu_main = mu_upper_main(m)
     bennett = t_star = mu_bennett = None
-    if _bennett_applies(q, m) and n >= m - 2:
-        bennett, t_star = bennett_bound(n, q, m)
-        mu_bennett = mu_upper_bennett(q, m)
+    if _bennett_applies(q, m) and n >= m - 2:  # bennett_bound's preconditions
+        t_star, h_min, _ = minimize_h(q, m)  # once for both fields
+        bennett = _bennett_at(n, m, h_min)
+        mu_bennett = _mu_bennett_at(q, h_min)
     return BoundReport(n, q, m, k, main, refined, bennett, t_star, mu_main, mu_bennett)
 
 

@@ -30,8 +30,6 @@ from .bounds import (
 from .constructions import lower_bound_4general
 from .field import MODULUS_TABLE_ENV, field_for_order, field_from_q_spec, make_field
 from .search import (
-    DEFAULT_MAX_NODES,
-    DEFAULT_MAX_SECONDS,
     read_certificate,
     search_exact,
     search_greedy,
@@ -130,18 +128,17 @@ def cmd_table(args) -> int:
 
 
 def cmd_search(args) -> int:
+    # the budget flags given; the exact search's own defaults stand for the others
+    limits = {name: value for name in ("max_nodes", "max_seconds", "workers")
+              if (value := getattr(args, name)) is not None}
+    if args.greedy and limits:
+        flags = ", ".join("--" + name.replace("_", "-") for name in limits)
+        raise ValueError(f"--greedy is bounded by --restarts alone, not by {flags}")
     field = _parse_q(args.q)
     if args.greedy:
         cert = search_greedy(args.n, field, args.m, seed=args.seed, restarts=args.restarts)
     else:
-        cert = search_exact(
-            args.n,
-            field,
-            args.m,
-            max_nodes=args.max_nodes,
-            max_seconds=args.max_seconds,
-            workers=args.workers,
-        )
+        cert = search_exact(args.n, field, args.m, **limits)
     write_certificate(args.output or sys.stdout, cert)
     print(
         f"value={cert.value} exact={cert.exact} nodes={cert.nodes_explored}",
@@ -160,7 +157,12 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_FALSE
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The argument parser.  Every subcommand is registered with its name
+    and help line, so top-level help, usage and errors never change; given
+    argv, only the subcommands named by one of its tokens get their
+    arguments (and -h).  argparse selects a subcommand by its exact name,
+    so the one it parses argv with is always complete."""
     ap = argparse.ArgumentParser(
         prog="mgeneral",
         description="m-general sets in AG(n,q): verify, construct, bound, search.",
@@ -172,54 +174,63 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"modulus table file (overrides ${MODULUS_TABLE_ENV})",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    named = None if argv is None else set(argv)
 
-    p = sub.add_parser("verify", help="check a set file against the m-general oracles")
-    p.add_argument("setfile")
-    p.add_argument("-m", type=int, default=None, help="override the file's m")
-    p.add_argument("--oracle", choices=("arithmetic", "geometric", "both"), default="both")
-    p.set_defaults(func=cmd_verify)
+    def command(name: str, help: str):
+        """The subparser to fill in, or None for one argv does not name."""
+        full = named is None or name in named
+        p = sub.add_parser(name, help=help, add_help=full)
+        return p if full else None
 
-    p = sub.add_parser("construct", help="build the 4-general lower-bound set in F_2^n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("-o", "--output", default=None, help="set file (default stdout)")
-    p.set_defaults(func=cmd_construct)
+    if p := command("verify", "check a set file against the m-general oracles"):
+        p.add_argument("setfile")
+        p.add_argument("-m", type=int, default=None, help="override the file's m")
+        p.add_argument("--oracle", choices=("arithmetic", "geometric", "both"), default="both")
+        p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bounds", help="evaluate upper bounds at (n, q, m)")
-    p.add_argument("--q", required=True, help="prime power or p^d")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, nargs="+", required=True)
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_bounds)
+    if p := command("construct", "build the 4-general lower-bound set in F_2^n"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("-o", "--output", default=None, help="set file (default stdout)")
+        p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("table", help="reproduce the published mu-bound tables")
-    p.add_argument("--which", type=int, choices=(1, 2), required=True)
-    p.set_defaults(func=cmd_table)
+    if p := command("bounds", "evaluate upper bounds at (n, q, m)"):
+        p.add_argument("--q", required=True, help="prime power or p^d")
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--n", type=int, nargs="+", required=True)
+        p.add_argument("--csv", action="store_true")
+        p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("search", help="search for a maximum m-general set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--greedy", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES,
-                   help="node budget of the whole exact search, shared equally by its spans")
-    p.add_argument("--max-seconds", type=float, default=DEFAULT_MAX_SECONDS)
-    p.add_argument("--workers", type=int, default=1,
-                   help="exact search over 4 x WORKERS spans in min(WORKERS, CPUs) processes")
-    p.add_argument("-o", "--output", default=None, help="certificate file (default stdout)")
-    p.set_defaults(func=cmd_search)
+    if p := command("table", "reproduce the published mu-bound tables"):
+        p.add_argument("--which", type=int, choices=(1, 2), required=True)
+        p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("check", help="re-verify a search certificate")
-    p.add_argument("certfile")
-    p.set_defaults(func=cmd_check)
+    if p := command("search", "search for a maximum m-general set"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--q", required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--greedy", action="store_true")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--restarts", type=int, default=1)
+        # the budget flags default to None, so cmd_search tells a given flag from a left-out one
+        p.add_argument("--max-nodes", type=int,
+                       help="node budget of the whole exact search, shared equally by its spans")
+        p.add_argument("--max-seconds", type=float)
+        p.add_argument("--workers", type=int,
+                       help="exact search over 4 x WORKERS spans in min(WORKERS, CPUs) processes")
+        p.add_argument("-o", "--output", default=None, help="certificate file (default stdout)")
+        p.set_defaults(func=cmd_search)
+
+    if p := command("check", "re-verify a search certificate"):
+        p.add_argument("certfile")
+        p.set_defaults(func=cmd_check)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     saved = os.environ.get(MODULUS_TABLE_ENV)
     if args.moduli:
         os.environ[MODULUS_TABLE_ENV] = args.moduli

@@ -23,6 +23,7 @@ from mgeneral.bounds import (
     table2_rows,
     within_cap,
 )
+from mgeneral import bounds
 from mgeneral.arithmetic import count_nonzero_sum_vectors
 from oracles import finite_difference
 
@@ -285,3 +286,23 @@ def test_bound_report_bennett_na_below_m_minus_2():
     assert r.bennett is None and r.t_star is None and r.mu_bennett is None
     r2 = bound_report(3, 9, 5)
     assert r2.bennett is not None and r2.mu_bennett is not None
+
+
+@pytest.mark.parametrize("n, q, m", [(4, 3, 3), (6, 2, 4), (8, 3, 4), (2, 9, 4), (8, 9, 5), (10**6, 3, 3),
+                                     (1100, 2, 4), (5, 4, 6), (3, 2, 5), (2, 9, 5)])
+def test_bound_report_fields_equal_the_public_functions(monkeypatch, n, q, m):
+    """bound_report minimizes h at most once per row, and its fields equal
+    what the public functions return one by one."""
+    calls = []
+    monkeypatch.setattr(bounds, "minimize_h", lambda *a: calls.append(a) or minimize_h(*a))
+    r = bound_report(n, q, m)
+    applies = (q % 2 == 1 or m % 2 == 0) and n >= m - 2
+    assert len(calls) == applies
+    monkeypatch.undo()
+    if applies:
+        assert (r.bennett, r.t_star) == bennett_bound(n, q, m)
+        assert r.mu_bennett == mu_upper_bennett(q, m)
+    else:
+        assert (r.bennett, r.t_star, r.mu_bennett) == (None, None, None)
+    if m >= 4:
+        assert (r.main, r.refined, r.mu_main) == (bound_main(n, q, m), refined_bound(n, q, m), mu_upper_main(m))

@@ -337,6 +337,74 @@ def test_search_greedy_rejects_zero_restarts(capsys, tmp_path):
     assert not cert_path.exists()
 
 
+@pytest.mark.parametrize("extra, flags", [
+    (["--max-nodes", "100"], "--max-nodes"),
+    (["--max-seconds", "300"], "--max-seconds"),
+    (["--workers", "1"], "--workers"),
+    (["--workers", "2", "--max-nodes", "5"], "--max-nodes, --workers"),
+], ids=["max-nodes", "max-seconds", "workers", "two"])
+def test_search_greedy_refuses_exact_budgets(capsys, tmp_path, extra, flags):
+    """The greedy is bounded by --restarts alone: a budget flag of the exact
+    search, given with --greedy, even at its default value, exits 2."""
+    cert_path = tmp_path / "g.json"
+    code, out, err = run(
+        capsys, "search", "--n", "3", "--q", "2", "--m", "4", "--greedy", *extra, "-o", str(cert_path),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --greedy is bounded by --restarts alone, not by {flags}\n"
+    assert not cert_path.exists()
+
+
+def test_search_budget_defaults_unchanged(capsys, monkeypatch):
+    """Left out, the budget flags leave search_exact its own defaults."""
+    seen = {}
+    monkeypatch.setattr(cli, "search_exact", lambda n, q, m, **kw: seen.update(kw) or search.search_exact(n, q, m))
+    code, _, _ = run(capsys, "search", "--n", "2", "--q", "3", "--m", "3")
+    assert code == 0 and seen == {}
+    code, _, _ = run(capsys, "search", "--n", "2", "--q", "3", "--m", "3", "--max-nodes", "9", "--workers", "1")
+    assert code == 0 and seen == {"max_nodes": 9, "workers": 1}
+
+
+_VALID = {
+    "verify": ["verify", "f"],
+    "construct": ["construct", "--n", "6"],
+    "bounds": ["bounds", "--q", "3", "--m", "4", "--n", "8"],
+    "table": ["table", "--which", "1"],
+    "search": ["search", "--n", "2", "--q", "3", "--m", "3"],
+    "check": ["check", "f"],
+}
+_GRID = [
+    ["--help"], ["-h", "search"], ["--version"], [], ["bogus"], ["sea", "--n", "2"],
+    *([name, "--help"] for name in _VALID),
+    *([name] for name in _VALID),
+    *(argv for argv in _VALID.values()),
+    *([*argv, "--bogus"] for argv in _VALID.values()),
+    ["--moduli", "PATH", "verify", "f"],
+    ["--moduli", "search", "verify", "f"],
+    ["--moduli=search", "verify", "f"],
+    ["search", "--q", "search", "--n", "2", "--m", "3"],
+    ["check", "verify"],
+    ["search", "--n", "2", "--q", "3", "--m", "3", "--greedy", "--max-n", "5", "--workers", "2"],
+]
+
+
+def _parse(parser, argv, capsys):
+    try:
+        parsed = parser.parse_args(argv)
+    except SystemExit as e:
+        parsed = ("exit", e.code)
+    out = capsys.readouterr()
+    return parsed, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", _GRID, ids=[" ".join(argv) or "no-arguments" for argv in _GRID])
+def test_parser_for_argv_parses_like_full_parser(capsys, argv):
+    """build_parser(argv) fills in only the subcommands argv names; it prints
+    the same help, version and errors, exits with the same code and parses
+    the same Namespace as the full build_parser()."""
+    assert _parse(cli.build_parser(argv), argv, capsys) == _parse(cli.build_parser(), argv, capsys)
+
+
 def test_bounds_readme_example_prints_na(capsys):
     # n = 2 < m - 2: Bennett's bound does not apply to that row
     code, out, _ = run(capsys, "bounds", "--q", "9", "--m", "5", "--n", "2", "4", "8")
@@ -394,10 +462,12 @@ def test_cli_fuzz_exit_codes(capsys, tmp_path):
             argv = ["table", "--which", rng.choice(["1", "2", "3", "0", "x"])]
         else:
             n = rng.choice([-1, 0, 1, 2, 2, 3, 3])
-            argv = ["search", "--n", str(n), "--q", q_arg(), "--m", str(rng.choice([1, 6, 3, 3, 4, 4, 5])),
-                    "--max-nodes", str(rng.randint(-1, 40)), "--max-seconds", rng.choice(["0", "0.05", "-1"]), "-o", cert]
+            argv = ["search", "--n", str(n), "--q", q_arg(), "--m", str(rng.choice([1, 6, 3, 3, 4, 4, 5])), "-o", cert]
+            budget = ["--max-nodes", str(rng.randint(-1, 40)), "--max-seconds", rng.choice(["0", "0.05", "-1"])]
             if rng.random() < 0.4:
                 argv += ["--greedy", "--seed", str(rng.randint(-5, 5)), "--restarts", str(rng.randint(-1, 3))]
+                budget = budget if rng.random() < 0.2 else []  # the greedy refuses a budget with exit 2
+            argv += budget
             if rng.random() < 0.1:
                 argv += ["--workers", str(rng.randint(0, 2))]
         try:
