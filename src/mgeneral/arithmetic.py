@@ -153,15 +153,13 @@ def nonzero_sum_vectors(field: Field, k: int, gamma: int) -> Iterator[CoeffVecto
 
 
 def count_nonzero_sum_vectors(q: int, k: int, gamma_is_zero: bool) -> int:
-    """Exact count of length-k all-nonzero vectors with a fixed sum.
-
-    Recurrence on (count for sum 0, count for any fixed nonzero sum): the
-    last entry is either the missing amount or any other nonzero value.
-    """
-    zero_ct, nonzero_ct = 1, 0  # k = 0: only the empty vector sums to 0
-    for _ in range(k):
-        zero_ct, nonzero_ct = (q - 1) * nonzero_ct, zero_ct + (q - 2) * nonzero_ct
-    return zero_ct if gamma_is_zero else nonzero_ct
+    """Exact count of length-k all-nonzero vectors with a fixed sum: Z_k =
+    ((q-1)^k + (q-1)(-1)^k)/q sum to 0, N_k = ((q-1)^k - (-1)^k)/q to any one
+    nonzero value; Z_k + (q-1) N_k = (q-1)^k and Z_k = (q-1) N_(k-1). Both
+    divide exactly, as q - 1 = -1 (mod q)."""
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    return ((q - 1) ** k + (q - 1 if gamma_is_zero else -1) * (-1) ** k) // q
 
 
 def weakly_avoids(A: PointSet, c: CoeffVector) -> bool:

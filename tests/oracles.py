@@ -154,6 +154,18 @@ def form_vanishes(field, coeffs, pts) -> bool:
     return False
 
 
+def nonzero_sum_counts_by_recurrence(q: int, k: int) -> tuple[int, int]:
+    """(vectors summing to 0, vectors summing to any one nonzero value) among
+    the length-k vectors with every entry nonzero over F_q, by a k-step
+    recurrence: the last entry is either the missing amount or any other
+    nonzero value.  The reference for the package's closed form
+    `count_nonzero_sum_vectors`."""
+    zero_ct, nonzero_ct = 1, 0  # k = 0: only the empty vector sums to 0
+    for _ in range(k):
+        zero_ct, nonzero_ct = (q - 1) * nonzero_ct, zero_ct + (q - 2) * nonzero_ct
+    return zero_ct, nonzero_ct
+
+
 def bk_by_multisets(field, pts, k: int) -> bool:
     """B_k by enumeration: every k-multiset of pts summed coordinatewise,
     False at the first two multisets with equal sums that are not the same

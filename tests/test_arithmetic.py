@@ -17,7 +17,13 @@ from mgeneral.arithmetic import (
     weakly_avoids,
 )
 from mgeneral.field import field_for_order, make_field
-from oracles import bk_by_multisets, form_vanishes, m_general_by_forms, m_general_oracle
+from oracles import (
+    bk_by_multisets,
+    form_vanishes,
+    m_general_by_forms,
+    m_general_oracle,
+    nonzero_sum_counts_by_recurrence,
+)
 
 
 def test_coeff_vector_validation(f3, f5):
@@ -68,7 +74,7 @@ def test_nonzero_sum_vectors_counts(f3, f5):
     vecs = list(nonzero_sum_vectors(f3, 3, 1))
     assert len(vecs) == 3
     assert all(all(x != 0 for x in v.coeffs) for v in vecs)
-    # closed-form recurrence agrees with enumeration
+    # the closed forms agree with enumeration
     for q in (2, 3, 4, 5, 7):
         f = make_field(2, 2) if q == 4 else make_field(q)
         for k in range(1, 5):
@@ -78,6 +84,16 @@ def test_nonzero_sum_vectors_counts(f3, f5):
             assert count_nonzero_sum_vectors(q, k, False) == sum(
                 1 for _ in nonzero_sum_vectors(f, k, 1)
             )
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 256, 65536])
+def test_nonzero_sum_counts_match_recurrence(q):
+    for k in [*range(201), 1000, 1001]:
+        got = count_nonzero_sum_vectors(q, k, True), count_nonzero_sum_vectors(q, k, False)
+        assert got == nonzero_sum_counts_by_recurrence(q, k), k
+    for gamma_is_zero in (True, False):
+        with pytest.raises(ValueError, match="k >= 0, got -1"):
+            count_nonzero_sum_vectors(q, -1, gamma_is_zero)
 
 
 def test_coefficient_families_match_product_filter():

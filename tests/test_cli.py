@@ -541,6 +541,8 @@ def _plus(key: str, value: str) -> str:
     (_ONE_POINT.replace('"format": 1', '"format": true'), ["check"], 2, "unknown format True, expected 1"),
     (_ONE_POINT.replace('"format": 1', '"format": 1.0'), ["check"], 2, "unknown format 1.0, expected 1"),
     (_ONE_POINT.replace('"format": 1, ', ""), ["check"], 2, "malformed certificate: 'format'"),
+    (_ONE_POINT.replace('"value": 1, ', ""), ["check"], 2, "malformed certificate: 'value'"),
+    (_ONE_POINT.replace('"2^1:2"', '"9"'), ["check"], 2, "malformed q-spec: '9'"),
     (_plus("reductions", '"abc"'), ["check"], 2, "reductions must be list of str, got 'abc'"),
     (_plus("seed", '"x"'), ["check"], 2, "seed must be int, got 'x'"),
     (_plus("prune_bound_used", '"x"'), ["check"], 2, "prune_bound_used must be float, got 'x'"),
@@ -554,10 +556,12 @@ def _plus(key: str, value: str) -> str:
         "bounds-q2-m-negative", "bounds-q3-m1", "bounds-n-negative", "check-one-point",
         "verify-3-points-m50", "verify-arithmetic-3-points-m50", "check-empty-n-m-100000",
         "check-nested-json", "format-2", "format-true", "format-float", "format-missing",
+        "value-missing", "q-spec-no-modulus-id",
         "reductions-string", "seed-string", "prune-bound-string", "toolchain-list"])
 def test_edge_inputs_exit_cleanly(capsys, tmp_path, cert, argv, expected, message):
     """Malformed certificates (a key of the wrong JSON type, an unknown or
-    missing format, JSON nested past the recursion limit), a huge n in sets
+    missing format, no value, a q-spec with no modulus id, JSON nested past
+    the recursion limit), a huge n in sets
     and certificates, a large m over three points, bounds at
     extreme (q, m), a NaN time budget, a non-positive worker count, a
     negative node budget, a malformed q, a malformed modulus table, a set

@@ -5,9 +5,11 @@ from functools import reduce
 import pytest
 
 from mgeneral.field import (
+    MAX_ORDER,
     Field,
     _digits,
     _from_digits,
+    _modulus_table,
     default_modulus,
     field_for_order,
     field_from_q_spec,
@@ -172,10 +174,17 @@ def test_pickle_rebuilds_through_the_cache():
 
 
 def test_default_table_entries_are_irreducible():
-    for p, d in [(2, 8), (3, 4), (5, 3), (7, 2), (13, 2)]:
-        coeffs = default_modulus(p, d)
-        assert len(coeffs) == d + 1 and coeffs[-1] == 1
-        assert is_irreducible(coeffs, p)
+    # one row per field of degree >= 2, and each row the monic irreducible of
+    # its degree with the least modulus id, found upward from x^d = id p^d
+    table = _modulus_table("")  # the shipped table alone
+    fields = [(p, d) for p in range(2, 257) if all(p % f for f in range(2, p))
+              for d in range(2, 17) if p**d <= MAX_ORDER]
+    assert sorted(table) == fields and len(fields) == 93
+    for (p, d), coeffs in table.items():
+        mod_id = p**d
+        while not is_irreducible(_digits(mod_id, p, d + 1), p):
+            mod_id += 1
+        assert default_modulus(p, d) == coeffs == tuple(_digits(mod_id, p, d + 1)), (p, d)
 
 
 def test_q_spec_round_trip(f4, f9):
