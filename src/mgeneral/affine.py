@@ -9,6 +9,26 @@ Over F_2 a set is m-general exactly when it is 2 floor(m/2)-general, since
 an affine relation there has even support (`_tested_m` gives the argument).
 `is_m_general` and the search kernels test that m; `add_point_preserves`
 and the arithmetic oracle test the requested one.
+
+Packed rows.  `affine_rank`, `is_m_general` and `add_point_preserves`
+eliminate on points of F_q^n packed one int each, through one codec per
+(field, n) (`_row_codec`, cached).  Coordinate 0 sits in the top block of B
+bits, so a row's leading coordinate is read from its bit length.  A
+coordinate of GF(p^d) is d digit lanes of w bits, digit 0 lowest:
+- p = 2: w = 1, so a coordinate is its element's code; a - b is a XOR b,
+  which never carries.  Over GF(2^e), e > 1, scaling goes coordinate by
+  coordinate through the field's log and antilog tables.
+- odd p: every lane of a row fed to a reduction holds at most
+  X = (p-1) + d (p-1)^2.  a - b is a + p - b, at most 2p - 1 a lane;
+  r - c u is r + (-c mod p) u (over d > 1, a sum over the d digits of c of
+  (p-1)-bounded digits times the rows x^j u), at most (p-1) + d (p-1)^2;
+  r c^-1 is a sum of d digit products, at most d (p-1)^2.  One Barrett
+  step t - ((t M >> S) & Q) p then reduces every lane mod p at once:
+  `_barrett` picks M and S with floor(x M / 2^S) = floor(x / p) for
+  0 <= x <= X, and w = bit_length(X M), so no lane's product with M
+  reaches the next lane.  Each lane's quotient lies below 2^(w-S), in the
+  low w - S bits that Q keeps, and the fraction bits of the lane above fall
+  in the S top bits that Q drops.
 """
 
 from __future__ import annotations
@@ -16,8 +36,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
-from itertools import repeat
-from operator import index
+from functools import cache, lru_cache
+from operator import index, lshift, xor
 
 from ._record import record
 from .field import Field, _digits, _from_digits, field_from_q_spec
@@ -94,27 +114,147 @@ def _decode(q: int, n: int, code: int) -> Point:
     return tuple(reversed(_digits(code, q, n)))
 
 
-def _pivot_step(field: Field):
-    """Gaussian elimination over field, one pivot at a time: returns
-    (leading_one, clear).  leading_one(row) is (col, row scaled to 1 at col)
-    for the first nonzero column col, or None for a zero row; clear(col,
-    pivot, rows) subtracts from each row the multiple of pivot that zeroes
-    its column col."""
-    sub, mul, inv = field.sub, field.mul, field.inv
+def _barrett(p: int, bound: int) -> tuple[int, int]:
+    """(M, S), S least, with (x * M) >> S == x // p for 0 <= x <= bound.
 
-    def leading_one(row):
-        for col, c in enumerate(row):
-            if c:
-                return col, tuple(map(mul, repeat(inv(c)), row))
-        return None
+    With M = ceil(2^S / p) and e = M p - 2^S in [0, p), x M / 2^S is
+    x / p + x e / (p 2^S).  Once bound * e < 2^S the second term is below
+    1 / p, too little to carry x / p, whose fraction is at most (p-1) / p,
+    past the next integer."""
+    S = 1
+    while True:
+        M = -(-(1 << S) // p)
+        if bound * (M * p - (1 << S)) < 1 << S:
+            return M, S
+        S += 1
 
-    def clear(col, pivot, rows):
-        return [
-            tuple(map(sub, r, map(mul, repeat(r[col]), pivot))) if r[col] else r
-            for r in rows
-        ]
 
-    return leading_one, clear
+@cache
+def _row_codec(field: Field, n: int):
+    """(pack, diff, unit, clear) on rows of F_q^n packed one int each, in the
+    layout of the module docstring.  pack(point) is a point's row, diff(a, b)
+    the row a - b, unit(r) r scaled to a leading 1 (0 stays 0), and
+    clear(u, rows), for u with a leading 1, each row minus the multiple of u
+    that zeroes it at u's leading coordinate.  Scalars are multiplied through
+    the field's own log and antilog tables; no table the codec keeps grows
+    with q."""
+    p, d = field.p, field.d
+    # c^-1 is exp[-log[c]]: a negative index -order <= i < 0 reads exp[i % order]
+    exp, log, order = field._exp, field._log, field.q - 1
+    if p == 2:
+        w = 1
+    else:
+        bound = p - 1 + d * (p - 1) ** 2
+        M, S = _barrett(p, bound)
+        w = (bound * M).bit_length()
+    B, L = d * w, (1 << w) - 1  # bits of a coordinate, of a lane
+    coord = (1 << B) - 1
+    shifts = [i * B for i in reversed(range(n))]  # coordinate 0 on top
+
+    def pack(point):
+        return sum(map(lshift, point, shifts))
+
+    if p == 2 and d == 1:  # every nonzero coefficient is 1
+        def clear(u, rows):
+            bit = 1 << (u.bit_length() - 1)
+            return [r ^ u if r & bit else r for r in rows]
+
+        return pack, xor, index, clear
+
+    if p == 2:  # a coordinate is its element's code
+        def unit(r):
+            if not r:
+                return 0
+            c = r >> (r.bit_length() - 1) // B * B
+            if c == 1:
+                return r
+            lc = -log[c]
+            return sum([exp[log[x] + lc] << s for s in shifts if (x := r >> s & coord)])
+
+        def clear(u, rows):
+            lead = (u.bit_length() - 1) // B * B
+            terms = [(log[x] - order, s) for s in shifts if (x := u >> s & coord)]
+            out = []
+            for r in rows:
+                c = r >> lead & coord
+                if c:
+                    lc = log[c]
+                    for lx, s in terms:  # -order <= lx + lc < order
+                        r ^= exp[lx + lc] << s
+                out.append(r)
+            return out
+
+        return pack, xor, unit, clear
+
+    ones = sum(1 << (i * w) for i in range(n * d))  # bit 0 of each lane
+    qmask = ((1 << (w - S)) - 1) * ones  # each lane's quotient bits
+    pones = p * ones
+
+    def diff(a, b):
+        t = a + pones - b
+        return t - (t * M >> S & qmask) * p
+
+    if d == 1:
+        def unit(r):
+            if not r:
+                return 0
+            c = r >> (r.bit_length() - 1) // B * B
+            if c == 1:
+                return r
+            t = r * exp[-log[c]]  # c^-1
+            return t - (t * M >> S & qmask) * p
+
+        def clear(u, rows):
+            lead = (u.bit_length() - 1) // B * B
+            return [(t := r + (p - c) * u) - (t * M >> S & qmask) * p if (c := r >> lead & L) else r
+                    for r in rows]
+
+        return pack, diff, unit, clear
+
+    lanes = [k * w for k in range(d)]
+    digit0 = L * sum(1 << s for s in shifts)  # lane 0 of each coordinate
+    high = digit0 << B - w  # lane d-1 of each coordinate
+    low_x = sum(-c % p << k for c, k in zip(field.modulus, lanes))  # x^d, a coordinate
+
+    def spread(c):  # c's digits, one a lane
+        return sum(map(lshift, _digits(c, p, d), lanes))
+
+    def powers(r):  # r, x r, ..., x^(d-1) r, coordinate by coordinate
+        rs = [r]
+        for _ in range(d - 1):
+            t = ((r & ~high) << w) + ((r & high) >> B - w) * low_x
+            r = t - (t * M >> S & qmask) * p
+            rs.append(r)
+        return rs
+
+    @lru_cache(maxsize=256)  # the leads met last, not one entry per element
+    def inverse(v):  # lanes of x^j c^-1 for j < d, c the element with lanes v
+        return tuple(powers(spread(exp[-log[_from_digits([v >> k & L for k in lanes], p)]])))
+
+    def unit(r):  # r c^-1: the digit-j lanes of r times x^j c^-1
+        if not r:
+            return 0
+        v = r >> (r.bit_length() - 1) // B * B
+        if v == 1:
+            return r
+        t = sum([(r >> k & digit0) * m for k, m in zip(lanes, inverse(v))])
+        return t - (t * M >> S & qmask) * p
+
+    def clear(u, rows):
+        lead = (u.bit_length() - 1) // B * B
+        ups = powers(u)
+        out = []
+        for r in rows:
+            if r >> lead & coord:
+                r += sum([-(r >> lead + k & L) % p * uj for k, uj in zip(lanes, ups)])
+                r -= (r * M >> S & qmask) * p
+            out.append(r)
+        return out
+
+    def pack_spread(point):
+        return sum(map(lshift, map(spread, point), shifts))
+
+    return pack_spread, diff, unit, clear
 
 
 def affine_rank(ps: PointSet) -> int:
@@ -124,17 +264,17 @@ def affine_rank(ps: PointSet) -> int:
     earlier ones, is zero or a new pivot."""
     if not ps.points:
         raise ValueError("affine_rank: empty set")
-    leading_one, clear = _pivot_step(ps.field)
-    base = ps.points[0]
-    rows = [tuple(map(ps.field.sub, p, base)) for p in ps.points[1:]]
+    pack, diff, unit, clear = _row_codec(ps.field, ps.n)
+    base, *others = map(pack, ps.points)
+    rows = [diff(r, base) for r in others]
     rank = 0
     while rows:
-        lead = leading_one(rows[0])
-        if lead is None:
-            rows = rows[1:]
-        else:
+        u = unit(rows[0])
+        if u:
             rank += 1
-            rows = clear(*lead, rows[1:])
+            rows = clear(u, rows[1:])
+        else:
+            rows = rows[1:]
     return rank
 
 
@@ -192,33 +332,33 @@ def _sidon_ok_char2(codes: Sequence[int], n: int) -> bool:
     return True
 
 
-def _all_independent(field: Field, base: Point, others: Sequence[Point], size: int) -> bool:
+def _all_independent(codec, base: int, others: Sequence[int], size: int) -> bool:
     """Is base with each (size-1)-subset of others affinely independent?
+    codec is `_row_codec(field, n)`, and base and others are packed rows.
 
     Gaussian elimination run depth first over the subsets in lexicographic
     order.  A node holds every later point's difference from base reduced
     modulo the span of the chosen differences, one row operation per child
-    (pivot: the first nonzero column); a zero residual is a dependent subset.
-    The residuals have zeros in every chosen pivot column, which makes each
-    the unique such representative of its coset, so at the last level two
-    picks are dependent exactly when their residuals are parallel: that level
-    compares the residuals scaled to a leading 1 as one set.  Needs size >= 3.
+    (pivot: the first nonzero coordinate); a zero residual is a dependent
+    subset.  The residuals have zeros in every chosen pivot column, which
+    makes each the unique such representative of its coset, so at the last
+    level two picks are dependent exactly when their residuals are parallel:
+    that level compares the residuals scaled to a leading 1 as one set.
+    Needs size >= 3.
     """
-    leading_one, clear = _pivot_step(field)
+    _, diff, unit, clear = codec
 
     def extend(rows, need):
         if need == 2:
-            lines = set(map(leading_one, rows))
-            return None not in lines and len(lines) == len(rows)
+            lines = set(map(unit, rows))
+            return 0 not in lines and len(lines) == len(rows)
         for j in range(len(rows) - need + 1):
-            lead = leading_one(rows[j])
-            if lead is None:
-                return False
-            if not extend(clear(*lead, rows[j + 1 :]), need - 1):
+            u = unit(rows[j])
+            if not u or not extend(clear(u, rows[j + 1 :]), need - 1):
                 return False
         return True
 
-    return extend([tuple(map(field.sub, p, base)) for p in others], size - 1)
+    return extend([diff(r, base) for r in others], size - 1)
 
 
 def is_m_general(A: PointSet, m: int) -> bool:
@@ -236,10 +376,11 @@ def is_m_general(A: PointSet, m: int) -> bool:
     s = min(m, len(A))
     if s <= 2:
         return True
-    pts = A.points
+    codec = _row_codec(A.field, A.n)
+    rows = list(map(codec[0], A.points))  # codec[0] packs a point
     return all(
-        _all_independent(A.field, p, pts[i + 1 :], s)
-        for i, p in enumerate(pts[: len(pts) - s + 1])
+        _all_independent(codec, r, rows[i + 1 :], s)
+        for i, r in enumerate(rows[: len(rows) - s + 1])
     )
 
 
@@ -252,7 +393,10 @@ def add_point_preserves(A: PointSet, p: Sequence[int], m: int) -> bool:
     if p in A:
         raise ValueError(f"point already in set: {p}")
     s = min(m, len(A) + 1)
-    return s <= 2 or _all_independent(A.field, p, A.points, s)
+    if s <= 2:
+        return True
+    codec = _row_codec(A.field, A.n)
+    return _all_independent(codec, codec[0](p), list(map(codec[0], A.points)), s)
 
 
 # -- set files ----------------------------------------------------------------

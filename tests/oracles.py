@@ -3,11 +3,12 @@
 Everything here is deliberately written from the definitions, sharing no
 algorithmic machinery with the package: multiplication is schoolbook
 polynomial arithmetic, affine dependence enumerates coefficient vectors,
-inverses are found by scanning, and the search oracle is an unpruned DFS
-with no symmetry reduction.  Two are exceptions: `pruned_search_replay`
-replays the package's pruned search rules on the rank test, so that node
-counts, not just values, can be compared, and `greedy_by_shuffle` runs the
-package's greedy kernels in `random.shuffle` order.
+inverses are found by scanning (by Fermat's a^(q-2) in large fields), and
+the search oracle is an unpruned DFS with no symmetry reduction.  Two are
+exceptions: `pruned_search_replay` replays the package's pruned search
+rules on the rank test, so that node counts, not just values, can be
+compared, and `greedy_by_shuffle` runs the package's greedy kernels in
+`random.shuffle` order.
 """
 
 from __future__ import annotations
@@ -37,11 +38,21 @@ _inv_cache: dict = {}
 
 
 def naive_inv(field, a: int) -> int:
-    """Multiplicative inverse found by scanning all elements."""
+    """Multiplicative inverse found by scanning all elements; above q = 4096,
+    where one scan takes seconds, as a^(q-2) by schoolbook squarings."""
     key = (field.p, field.d, field.modulus, a)
     hit = _inv_cache.get(key)
     if hit is not None:
         return hit
+    if field.q > 4096 and a:
+        acc, e = 1, field.q - 2
+        while e:
+            if e & 1:
+                acc = naive_mul(field, acc, a)
+            a = naive_mul(field, a, a)
+            e >>= 1
+        _inv_cache[key] = acc
+        return acc
     for b in range(1, field.q):
         if naive_mul(field, a, b) == 1:
             _inv_cache[key] = b

@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from mgeneral.affine import (
     _BUCKET_PAIRS,
     PointSet,
+    _barrett,
+    _row_codec,
     _sidon_ok_char2,
     add_point_preserves,
     affine_rank,
@@ -17,6 +20,7 @@ from mgeneral.affine import (
 )
 from mgeneral.constructions import lower_bound_4general
 from mgeneral.field import make_field
+from mgeneral.search import search_greedy
 from oracles import dependent_by_enumeration, m_general_oracle, rank_oracle, sidon_oracle_q2
 
 
@@ -382,3 +386,144 @@ def test_point_file_errors(tmp_path):
     bad.write_text("format=1\n# comment only\n")
     with pytest.raises(ValueError, match="header"):
         read_point_set(bad)
+
+
+# (p, d) of fields the packed rows serve: q = 2 (its m >= 6 rank path), XOR
+# lanes over GF(2^e), Barrett lanes for odd p with d = 1 and d > 1, up to
+# GF(65521) and GF(2^16)
+PACKED_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2),
+                 (3, 3), (7, 2), (101, 1), (2, 8), (65521, 1), (2, 16)]
+
+
+def _hull_point(field, pts, rng):
+    """pts[0] plus random multiples of each pts[i] - pts[0]: a point of their affine hull."""
+    base, x = pts[0], pts[0]
+    for p in pts[1:]:
+        c = rng.randrange(field.q)
+        x = tuple(field.add(a, field.mul(c, field.sub(b, o))) for a, b, o in zip(x, p, base))
+    return x
+
+
+def _witness(field, n, m, rng):
+    """An m-general set: the greedy's witness where the ambient is small (its
+    first 10 points), else up to 6 random points kept while the oracle says so."""
+    if field.q**n <= 4096:
+        cert = search_greedy(n, field.q, m, seed=rng.randrange(1 << 20))
+        return [tuple(x) for x in cert.witness[:10]]
+    pts = []
+    for _ in range(12):
+        x = tuple(rng.randrange(field.q) for _ in range(n))
+        if x not in pts and m_general_oracle(field, pts + [x], m):
+            pts.append(x)
+        if len(pts) == 6:
+            break
+    return pts
+
+
+def _agree(field, n, m, pts):
+    """is_m_general, affine_rank and add_point_preserves (last point last)
+    against the rank oracle; returns the verdict."""
+    A = PointSet.of(field, n, pts)
+    verdict = m_general_oracle(field, A.points, m)
+    assert is_m_general(A, m) == verdict, (field.q, n, m, pts)
+    if A.points:
+        assert affine_rank(A) == rank_oracle(field, A.points), (field.q, n, pts)
+    if len(A) == len(pts) > 0:
+        B = PointSet.of(field, n, pts[:-1])
+        if m_general_oracle(field, B.points, m):
+            assert add_point_preserves(B, pts[-1], m) == verdict, (field.q, n, m, pts)
+    return verdict
+
+
+def test_packed_rows_match_rank_oracle():
+    rng = random.Random(3535)
+    verdicts = {True: 0, False: 0}
+    for p, d in PACKED_FIELDS:
+        field = make_field(p, d)
+        for n in range(1, 6):
+            for m in range(3, n + 3):
+                if field.q == 2 and m < 6:  # the pair-sum scan, or no test at all
+                    continue
+                k = rng.randint(0, 7)
+                verdicts[_agree(field, n, m, [tuple(rng.randrange(field.q) for _ in range(n))
+                                              for _ in range(k)])] += 1
+                W = _witness(field, n, m, rng)
+                assert _agree(field, n, m, W), (field.q, n, m, W)
+                # plus a point on the hull of m - 1 of its points: a dependent m-subset
+                for _ in range(20):
+                    x = _hull_point(field, rng.sample(W, min(m - 1, len(W))), rng) if W else None
+                    if x is not None and x not in W:
+                        assert not _agree(field, n, m, W + [x]), (field.q, n, m, W, x)
+                        verdicts[False] += 1
+                        break
+    assert min(verdicts.values()) > 40, verdicts
+
+
+def test_rows_at_lane_bounds():
+    """Every digit p - 1 (every bit, over GF(2^16)) puts a lane at the bound
+    of the step after it: a - b at 2p - 1 where b is 0; r - c u at
+    (p-1) + (p-1)^2 where c is 1 and u's other digits p - 1; r c^-1 at
+    (p-1)^2 where c is p - 1.  Each codec step is compared with the field's
+    own arithmetic, and each set's verdicts with the oracles."""
+    rng = random.Random(65521)
+    for p, d in ((3, 1), (3, 2), (3, 3), (65521, 1), (2, 16)):
+        field = make_field(p, d)
+        top = field.q - 1
+        values = sorted({0, 1, top // (p - 1), top})  # top // (p - 1): every digit 1
+        n = 3
+        pack, diff, unit, clear = _row_codec(field, n)
+        points = list(product(values, repeat=n))
+        for a in points:
+            for b in points:
+                r = tuple(map(field.sub, a, b))
+                assert diff(pack(a), pack(b)) == pack(r), (field.q, a, b)
+                lead = next((c for c in r if c), 0)
+                scaled = tuple(field.mul(field.inv(lead), c) for c in r) if lead else r
+                assert unit(pack(r)) == pack(scaled), (field.q, r)
+        for u in [x for x in points if x[0] == 1] + [(0, 1, top), (0, 0, 1)]:
+            col = next(i for i, c in enumerate(u) if c)
+            want = [pack(tuple(field.sub(c, field.mul(b[col], e)) for c, e in zip(b, u)))
+                    for b in points]
+            assert clear(pack(u), list(map(pack, points))) == want, (field.q, u)
+        for m in (3, 4, 5):
+            for _ in range(6):
+                pts = rng.sample(points, rng.randint(3, 6))
+                _agree(field, n, m, [(top,) * n] + [x for x in pts if x != (top,) * n])
+
+
+def test_barrett_step_exact_to_its_bound():
+    """x M >> S equals x // p for every lane value a reduction can see: all of
+    [0, X] for small p, and both ends plus each side of sampled multiples of
+    p for p = 65521."""
+    rng = random.Random(17)
+    for p in (3, 5, 7, 11, 101, 251, 65521):
+        for d in (1, 2, 3):
+            bound = p - 1 + d * (p - 1) ** 2
+            M, S = _barrett(p, bound)
+            if bound < 200_000:
+                xs = range(bound + 1)
+            else:
+                ks = [rng.randrange(1, bound // p) for _ in range(2000)] + [bound // p]
+                xs = [*range(5000), *range(bound - 5000, bound + 1),
+                      *(k * p + e for k in ks for e in (-1, 0, 1) if k * p + e <= bound)]
+            assert all(x * M >> S == x // p for x in xs), (p, d)
+
+
+def test_row_codec_setup_does_not_grow_with_q():
+    """A codec over GF(65521), GF(2^16) or GF(3^10) builds nothing the size
+    of the field: the whole of a first check of a few points stays far
+    below one table of q ints."""
+    for p, d in ((65521, 1), (2, 16), (3, 10)):
+        field = make_field(p, d)
+        top = field.q - 1
+        pts = [(0, 0, 0), (1, top, 2), (top, 1, top), (2, 3, 1)]
+        A = PointSet.of(field, 3, pts[:3])
+        _row_codec.cache_clear()
+        tracemalloc.start()
+        try:
+            verdicts = is_m_general(A, 3), add_point_preserves(A, pts[3], 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdicts == (True, m_general_oracle(field, pts, 4)), field.q
+        assert peak < 256 * 1024, (field.q, peak)
